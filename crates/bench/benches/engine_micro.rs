@@ -10,6 +10,7 @@ use f4t_core::fpu::{process, EventView};
 use f4t_core::memory_manager::{MemoryManager, MmOutput};
 use f4t_core::{Engine, EngineConfig, EventKind, FlowEvent};
 use f4t_mem::DramKind;
+use f4t_sim::Probes;
 use f4t_tcp::{CcAlgorithm, FlowId, FourTuple, NewReno, SeqNum, Tcb, MSS};
 use std::hint::black_box;
 use std::sync::Arc;
@@ -44,13 +45,14 @@ fn bench_fpc_saturated() {
             fpc.push_tcb(t, EventView::default());
         }
         let mut out = FpcOutput::default();
+        let mut probes = Probes::default();
         let mut cycle = 0u64;
         bench(&format!("fpc/saturated_tick/{policy:?}"), move || {
             out.tx.clear();
             out.outcomes.clear();
             out.evicted.clear();
             out.installed.clear();
-            fpc.tick(cycle, cycle * 4, true, &mut out);
+            fpc.tick(cycle, cycle * 4, true, &mut out, &mut probes);
             cycle += 1;
             black_box(out.tx.len())
         });
@@ -114,8 +116,9 @@ fn bench_memory_manager() {
             mm.accept_eviction(Tcb::established(FlowId(i), FourTuple::default(), SeqNum(0)));
         }
         let mut out = MmOutput::default();
-        for _ in 0..4096 {
-            mm.tick(&mut out);
+        let mut probes = Probes::default();
+        for c in 0..4096 {
+            mm.tick(&mut out, c, &mut probes);
         }
         let mut i = 0u32;
         let mut ptr = 0u32;
@@ -127,7 +130,7 @@ fn bench_memory_manager() {
             }
             out.swap_in_requests.clear();
             out.evict_done.clear();
-            mm.tick(&mut out);
+            mm.tick(&mut out, 0, &mut probes);
             black_box(mm.events_handled())
         });
     }

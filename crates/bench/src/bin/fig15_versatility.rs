@@ -13,7 +13,7 @@ use f4t_bench::{banner, f, Table};
 use f4t_core::fpc::{Fpc, ScanPolicy};
 use f4t_core::fpu::EventView;
 use f4t_core::{EventKind, FlowEvent};
-use f4t_sim::ClockDomain;
+use f4t_sim::{ClockDomain, Probes};
 use f4t_tcp::{FlowId, FourTuple, NewReno, SeqNum, Tcb, MSS};
 use std::sync::Arc;
 
@@ -26,18 +26,19 @@ fn f4t_rate(latency: u32, cycles: u64) -> f64 {
     // Install the flows, respecting the swap-in port's 1-per-2-cycles
     // acceptance rate.
     let mut out = f4t_core::fpc::FpcOutput::default();
+    let mut probes = Probes::default();
     let mut setup_cycle = 0u64;
     for i in 0..slots as u32 {
         let mut t = Tcb::established(FlowId(i), FourTuple::default(), SeqNum(0));
         t.snd_wnd = u32::MAX / 2;
         t.cwnd = u32::MAX / 2;
         while !fpc.push_tcb(t, EventView::default()) {
-            fpc.tick(setup_cycle, setup_cycle * 4, true, &mut out);
+            fpc.tick(setup_cycle, setup_cycle * 4, true, &mut out, &mut probes);
             setup_cycle += 1;
         }
     }
     for _ in 0..4 * slots as u64 {
-        fpc.tick(setup_cycle, setup_cycle * 4, true, &mut out);
+        fpc.tick(setup_cycle, setup_cycle * 4, true, &mut out, &mut probes);
         setup_cycle += 1;
     }
     assert_eq!(fpc.flow_count(), slots, "all flows installed");
@@ -61,7 +62,7 @@ fn f4t_rate(latency: u32, cycles: u64) -> f64 {
         }
         out.tx.clear();
         out.outcomes.clear();
-        fpc.tick(c, c * 4, true, &mut out);
+        fpc.tick(c, c * 4, true, &mut out, &mut probes);
     }
     (fpc.events_handled() - handled0) as f64 * 250e6 / cycles as f64
 }

@@ -26,10 +26,11 @@ use f4t_sim::check::{InvariantChecker, Violation, ViolationKind};
 use f4t_sim::clock::merge_horizon;
 use f4t_sim::telemetry::{MetricsRegistry, TraceKind, TraceRing};
 use f4t_sim::flight::{FlightStage, STAGE_COUNT};
+use f4t_sim::probes::Periodic;
 use f4t_sim::pulse::{PulseSeries, FLOW_SERIES_COUNT, SERIES_COUNT};
 use f4t_sim::{
     FlightRecorder, FlowObservation, FlowSet, FlowSlab, Journal, JournalKind, JournalModule,
-    PulseRecorder, QueueObservation, Watchdog, WatchdogConfig,
+    Probes, PulseRecorder, QueueObservation, Watchdog, WatchdogConfig,
 };
 use f4t_tcp::wire::{ArpMessage, IcmpEcho};
 use f4t_tcp::{
@@ -310,21 +311,9 @@ pub struct Engine {
     ff_skipped_cycles: u64,
     /// Fast-forward windows taken.
     ff_windows: u64,
-    /// FtVerify hazard checker; attached when `EngineConfig::check` is
-    /// set. Boxed so the disabled engine stays small.
-    check: Option<Box<InvariantChecker>>,
-    /// FtFlight latency-attribution recorder; attached when
-    /// `EngineConfig::flight` is set. Boxed like the checker.
-    flight: Option<Box<FlightRecorder>>,
-    /// FtJournal causal event journal; attached when
-    /// `EngineConfig::journal` is set. Boxed like the checker.
-    journal: Option<Box<Journal>>,
-    /// Online health watchdog; attached when `EngineConfig::watchdog` is
-    /// set. Boxed like the checker.
-    watchdog: Option<Box<Watchdog>>,
-    /// FtPulse windowed time-series recorder; attached when
-    /// `EngineConfig::pulse` is set. Boxed like the checker.
-    pulse: Option<Box<PulseRecorder>>,
+    /// The optional recorders (checker, flight, journal, watchdog,
+    /// pulse), each attached when its `EngineConfig` switch is set.
+    probes: Probes,
     /// Deferred flight-span bias `(window, cycles)`: armed by
     /// `set_flight_bias_after`, applied by `run_pulse` once that many
     /// windows have been recorded (shape-gate self-testing).
@@ -374,10 +363,6 @@ const CYCLE_NS: u64 = 4;
 /// MAC output buffer cap; beyond this the packet generator stalls and
 /// backpressure propagates to FPC dispatch.
 const TX_OUT_CAP: usize = 256;
-/// FtVerify structural-audit period. Per-cycle rules (ports, parity, RMW)
-/// fire inline; the cross-module residency/LUT/conservation audit walks
-/// every table, so it runs every `AUDIT_INTERVAL` cycles instead.
-pub(crate) const AUDIT_INTERVAL: u64 = 64;
 
 /// Minimal JSON string escaping for the black-box dump (quotes,
 /// backslashes and control characters; everything else passes through).
@@ -414,8 +399,12 @@ impl Engine {
     /// Builds an engine running a custom congestion-control algorithm —
     /// the paper's programmability story (§4.5): "users need to modify
     /// only the FPU to program the TCP stack".
-    pub fn with_cc(config: EngineConfig, cc: Arc<dyn CongestionControl>) -> Engine {
+    pub fn with_cc(mut config: EngineConfig, cc: Arc<dyn CongestionControl>) -> Engine {
         assert!(config.num_fpcs > 0, "need at least one FPC");
+        // `is_multiple_of(0)` only holds at cycle 0; treat 0 as "every
+        // cycle" so a zeroed config still sweeps.
+        config.watchdog_interval = config.watchdog_interval.max(1);
+        config.pulse_interval = config.pulse_interval.max(1);
         let fpcs = (0..config.num_fpcs)
             .map(|i| {
                 Fpc::new(
@@ -445,15 +434,18 @@ impl Engine {
             host_events: 0,
             ff_skipped_cycles: 0,
             ff_windows: 0,
-            check: config.check.then(|| Box::new(InvariantChecker::new())),
-            flight: None,
-            journal: config
-                .journal
-                .then(|| Box::new(Journal::with_capacity(config.journal_sample, config.journal_cap))),
-            watchdog: config.watchdog.then(|| Box::new(Watchdog::new(config.watchdog_cfg))),
-            pulse: config
-                .pulse
-                .then(|| Box::new(PulseRecorder::new(config.pulse_interval, config.pulse_flow_sample))),
+            probes: Probes {
+                check: config.check.then(|| Box::new(InvariantChecker::new())),
+                flight: None,
+                journal: config.journal.then(|| {
+                    Box::new(Journal::with_capacity(config.journal_sample, config.journal_cap))
+                }),
+                watchdog: config.watchdog.then(|| Box::new(Watchdog::new(config.watchdog_cfg))),
+                watchdog_interval: config.watchdog_interval,
+                pulse: config.pulse.then(|| {
+                    Box::new(PulseRecorder::new(config.pulse_interval, config.pulse_flow_sample))
+                }),
+            },
             pulse_prev: PulseCounters::default(),
             pulse_bias_pending: None,
             trace: TraceRing::disabled(),
@@ -463,14 +455,6 @@ impl Engine {
             cycle: 0,
             config,
         };
-        // `is_multiple_of(0)` only holds at cycle 0; treat 0 as "every
-        // cycle" so a zeroed config still sweeps.
-        if engine.config.watchdog_interval == 0 {
-            engine.config.watchdog_interval = 1;
-        }
-        if engine.config.pulse_interval == 0 {
-            engine.config.pulse_interval = 1;
-        }
         if engine.config.flight {
             engine.attach_flight();
         }
@@ -481,7 +465,7 @@ impl Engine {
     /// mirrors. Must run before any traffic enters (the stamp FIFOs
     /// mirror their data FIFOs 1:1 from empty).
     fn attach_flight(&mut self) {
-        self.flight = Some(Box::new(FlightRecorder::new(self.config.flight_sample)));
+        self.probes.flight = Some(Box::new(FlightRecorder::new(self.config.flight_sample)));
         self.rx_parser.enable_flight();
         self.scheduler.enable_flight();
         for f in &mut self.fpcs {
@@ -532,7 +516,7 @@ impl Engine {
             &mut self.fpcs,
             &mut self.mm,
             self.cycle,
-            self.check.as_deref_mut(),
+            &mut self.probes,
         );
         Some(flow)
     }
@@ -556,7 +540,7 @@ impl Engine {
             &mut self.fpcs,
             &mut self.mm,
             self.cycle,
-            self.check.as_deref_mut(),
+            &mut self.probes,
         );
         Some(flow)
     }
@@ -582,16 +566,14 @@ impl Engine {
         if self.scheduler.push_event_at(ev, self.cycle) {
             self.host_events += 1;
             self.trace.record(self.cycle, TraceKind::HostEnqueue, ev.flow.0, 0);
-            if let Some(j) = self.journal.as_deref_mut() {
-                j.record(
-                    self.cycle,
-                    JournalModule::Host,
-                    JournalKind::HostEvent,
-                    ev.flow.0,
-                    Self::event_kind_code(&ev.kind),
-                    0,
-                );
-            }
+            self.probes.log(
+                self.cycle,
+                JournalModule::Host,
+                JournalKind::HostEvent,
+                ev.flow.0,
+                Self::event_kind_code(&ev.kind),
+                0,
+            );
             true
         } else {
             false
@@ -698,7 +680,7 @@ impl Engine {
             segments_in: self.rx_parser.segments_in(),
             segments_out: self.pkt_gen.segments_out(),
             bytes_out: self.pkt_gen.bytes_out(),
-            rx_dma_bytes: self.rx_parser.payload_dma_bytes(),
+            rx_dma_bytes: self.rx_dma_bytes(),
             events_coalesced: s.coalesced,
             migrations: s.migrations,
             retransmissions: self.pkt_gen.retransmissions(),
@@ -712,6 +694,13 @@ impl Engine {
             rmw_stall_cycles: self.rmw_stall_cycles(),
             lut_stalls: self.scheduler.lut_stalls(),
         }
+    }
+
+    /// Payload bytes the RX parser has DMAed toward the host
+    /// ([`EngineStats::rx_dma_bytes`] without building the whole
+    /// snapshot; the system layer charges PCIe from it every cycle).
+    pub fn rx_dma_bytes(&self) -> u64 {
+        self.rx_parser.payload_dma_bytes()
     }
 
     /// Events accumulated while their TCB was in flight through the FPU,
@@ -758,23 +747,23 @@ impl Engine {
         reg.counter(&format!("{prefix}.tx.bytes_out"), self.pkt_gen.bytes_out());
         reg.counter(&format!("{prefix}.tx.retransmissions"), self.pkt_gen.retransmissions());
         reg.counter(&format!("{prefix}.trace.recorded"), self.trace.total_recorded());
-        if let Some(f) = &self.flight {
+        if let Some(f) = &self.probes.flight {
             f.collect(&format!("{prefix}.flight"), reg);
         }
-        if let Some(j) = &self.journal {
+        if let Some(j) = &self.probes.journal {
             j.collect(&format!("{prefix}.journal"), reg);
         }
-        if let Some(w) = &self.watchdog {
+        if let Some(w) = &self.probes.watchdog {
             w.collect(&format!("{prefix}.watchdog"), reg);
         }
-        if let Some(p) = &self.pulse {
+        if let Some(p) = &self.probes.pulse {
             p.collect(&format!("{prefix}.pulse"), reg);
         }
     }
 
     /// The FtFlight recorder, when [`EngineConfig::flight`] is set.
     pub fn flight(&self) -> Option<&FlightRecorder> {
-        self.flight.as_deref()
+        self.probes.flight.as_deref()
     }
 
     /// FtFlight latency-breakdown JSON (per-stage p50/p99/p999 in cycles
@@ -783,14 +772,14 @@ impl Engine {
     /// fast-forwarded and a tick-by-tick run of the same workload return
     /// byte-identical text (`tests/fastforward_equiv.rs`).
     pub fn flight_json(&self) -> Option<String> {
-        self.flight.as_ref().map(|f| f.to_json(CYCLE_NS))
+        self.probes.flight.as_ref().map(|f| f.to_json(CYCLE_NS))
     }
 
     /// Perf-gate self-test hook: inflates every subsequently recorded
     /// flight span by `cycles` (`f4tperf --inject-slowdown`). No-op when
     /// the recorder is off.
     pub fn set_flight_bias(&mut self, cycles: u64) {
-        if let Some(f) = self.flight.as_deref_mut() {
+        if let Some(f) = self.probes.flight.as_deref_mut() {
             f.set_bias(cycles);
         }
     }
@@ -801,36 +790,36 @@ impl Engine {
     /// the injected mid-run ramp is deterministic across execution modes.
     /// No-op when the pulse recorder is off.
     pub fn set_flight_bias_after(&mut self, window: u64, cycles: u64) {
-        if self.pulse.is_some() {
+        if self.probes.pulse.is_some() {
             self.pulse_bias_pending = Some((window, cycles));
         }
     }
 
     /// The FtJournal, when [`EngineConfig::journal`] is set.
     pub fn journal(&self) -> Option<&Journal> {
-        self.journal.as_deref()
+        self.probes.journal.as_deref()
     }
 
     /// The journal's running determinism digest (0 when the journal is
     /// off). Covers every recorded event including overwritten ones, so
     /// two runs with equal digests emitted identical event streams.
     pub fn journal_digest(&self) -> u64 {
-        self.journal.as_ref().map_or(0, |j| j.digest())
+        self.probes.journal.as_ref().map_or(0, |j| j.digest())
     }
 
     /// The health watchdog, when [`EngineConfig::watchdog`] is set.
     pub fn watchdog(&self) -> Option<&Watchdog> {
-        self.watchdog.as_deref()
+        self.probes.watchdog.as_deref()
     }
 
     /// Total watchdog alarms raised (0 when the watchdog is off).
     pub fn watchdog_alarm_count(&self) -> u64 {
-        self.watchdog.as_ref().map_or(0, |w| w.alarm_count())
+        self.probes.watchdog.as_ref().map_or(0, |w| w.alarm_count())
     }
 
     /// The FtPulse recorder, when [`EngineConfig::pulse`] is set.
     pub fn pulse(&self) -> Option<&PulseRecorder> {
-        self.pulse.as_deref()
+        self.probes.pulse.as_deref()
     }
 
     /// FtPulse time-series JSON (every retained window per series), when
@@ -839,14 +828,14 @@ impl Engine {
     /// same workload return identical text (`tests/fastforward_equiv.rs`,
     /// `tests/determinism.rs`).
     pub fn pulse_json(&self) -> Option<String> {
-        self.pulse.as_ref().map(|p| p.to_json(CYCLE_NS))
+        self.probes.pulse.as_ref().map(|p| p.to_json(CYCLE_NS))
     }
 
     /// The pulse recorder's running determinism digest (0 when pulse is
     /// off). Covers every recorded window including ones the bounded
     /// rings have overwritten.
     pub fn pulse_digest(&self) -> u64 {
-        self.pulse.as_ref().map_or(0, |p| p.digest())
+        self.probes.pulse.as_ref().map_or(0, |p| p.digest())
     }
 
     /// FtJournal post-mortem black-box dump: a self-contained JSON
@@ -880,7 +869,7 @@ impl Engine {
         // Journal tail: newest-last compact lines plus the running digest.
         s.push_str(&format!("  \"journal_digest\": {},\n", self.journal_digest()));
         s.push_str("  \"journal\": [");
-        if let Some(j) = &self.journal {
+        if let Some(j) = &self.probes.journal {
             let mut first = true;
             for line in j.lines() {
                 if !first {
@@ -894,7 +883,7 @@ impl Engine {
         // Watchdog alarms, in firing order.
         s.push_str("  \"alarms\": [");
         let mut implicated: Vec<FlowId> = Vec::new();
-        if let Some(w) = &self.watchdog {
+        if let Some(w) = &self.probes.watchdog {
             for (i, a) in w.alarms().iter().enumerate() {
                 if i > 0 {
                     s.push_str(", ");
@@ -960,7 +949,7 @@ impl Engine {
         // Splice FtPulse counter events ("ph": "C") into the event array
         // so the series render as counter tracks alongside the pipeline
         // instants in the same trace viewer.
-        if let Some(p) = &self.pulse {
+        if let Some(p) = &self.probes.pulse {
             let counters = p.chrome_counter_events(CYCLE_NS);
             if !counters.is_empty() {
                 if let Some(pos) = out.rfind("\n]") {
@@ -1007,7 +996,7 @@ impl Engine {
             &mut self.fpcs,
             &mut self.mm,
             self.cycle,
-            self.check.as_deref_mut(),
+            &mut self.probes,
         );
         self.notifications.push_back(HostNotification::NewConnection { flow, tuple });
         // Re-offer the SYN now that the flow exists.
@@ -1035,7 +1024,7 @@ impl Engine {
             if let Some(tuple) = self.flows.remove(flow.0) {
                 self.rx_parser.remove_flow(&tuple, flow);
             }
-            self.scheduler.on_flow_closed(flow, self.cycle, self.check.as_deref_mut());
+            self.scheduler.on_flow_closed(flow, self.cycle, &mut self.probes);
             self.timers.disarm(flow, TimeoutKind::Rto);
             self.timers.disarm(flow, TimeoutKind::Probe);
             self.free_flow_ids.push(flow.0);
@@ -1070,20 +1059,12 @@ impl Engine {
         for (flow, kind) in self.timers.expired(now) {
             let ev = FlowEvent::new(flow, EventKind::Timeout { kind }, now);
             let accepted = self.scheduler.push_event_at(ev, cycle);
-            if let Some(j) = self.journal.as_deref_mut() {
-                let code = match kind {
-                    TimeoutKind::Rto => 0,
-                    TimeoutKind::Probe => 1,
-                };
-                j.record(
-                    cycle,
-                    JournalModule::Timers,
-                    JournalKind::TimerFired,
-                    flow.0,
-                    code,
-                    u64::from(accepted),
-                );
-            }
+            let code = match kind {
+                TimeoutKind::Rto => 0,
+                TimeoutKind::Probe => 1,
+            };
+            let fired = JournalKind::TimerFired;
+            self.probes.log(cycle, JournalModule::Timers, fired, flow.0, code, u64::from(accepted));
             if !accepted {
                 // Intake full: re-arm slightly later rather than lose it.
                 self.timers.arm(flow, kind, now + 2_000);
@@ -1096,13 +1077,7 @@ impl Engine {
         //    drops packets.
         if self.scheduler.intake_free() >= 8 {
             let mut rx_out = RxOutput::default();
-            self.rx_parser.tick_flight(
-                now,
-                cycle,
-                &mut rx_out,
-                self.flight.as_deref_mut(),
-                self.journal.as_deref_mut(),
-            );
+            self.rx_parser.tick(now, cycle, &mut rx_out, &mut self.probes);
             for ev in rx_out.events {
                 self.trace.record(cycle, TraceKind::RxEnqueue, ev.flow.0, 0);
                 let accepted = self.scheduler.push_event_at(ev, cycle);
@@ -1114,14 +1089,7 @@ impl Engine {
         }
 
         // 3. Scheduler: coalesce + route + migrations + swap-ins.
-        self.scheduler.tick_checked(
-            cycle,
-            &mut self.fpcs,
-            &mut self.mm,
-            self.check.as_deref_mut(),
-            self.flight.as_deref_mut(),
-            self.journal.as_deref_mut(),
-        );
+        self.scheduler.tick(cycle, &mut self.fpcs, &mut self.mm, &mut self.probes);
         if self.trace.enabled() {
             // Derive per-cycle trace events from the scheduler's running
             // totals (the scheduler itself stays trace-agnostic).
@@ -1160,26 +1128,17 @@ impl Engine {
             out.evicted.clear();
             out.installed.clear();
             let fpc_id = self.fpcs[i].id();
-            self.fpcs[i].tick_checked(
-                cycle,
-                now,
-                gate,
-                &mut out,
-                self.check.as_deref_mut(),
-                self.flight.as_deref_mut(),
-            );
+            self.fpcs[i].tick(cycle, now, gate, &mut out, &mut self.probes);
             for req in out.tx.drain(..) {
                 if req.retransmit {
-                    if let Some(j) = self.journal.as_deref_mut() {
-                        j.record(
-                            cycle,
-                            JournalModule::Fpu,
-                            JournalKind::Retransmit,
-                            req.flow.0,
-                            u64::from(req.seq.0),
-                            u64::from(req.len),
-                        );
-                    }
+                    self.probes.log(
+                        cycle,
+                        JournalModule::Fpu,
+                        JournalKind::Retransmit,
+                        req.flow.0,
+                        u64::from(req.seq.0),
+                        u64::from(req.len),
+                    );
                 }
                 if self.pkt_gen.can_accept() {
                     self.pkt_gen.push_at(req, cycle);
@@ -1189,104 +1148,48 @@ impl Engine {
             }
             for (flow, outcome, tcb) in &out.outcomes {
                 self.trace.record(cycle, TraceKind::Dispatch, flow.0, u64::from(fpc_id));
-                if let Some(j) = self.journal.as_deref_mut() {
-                    j.record(
-                        cycle,
-                        JournalModule::Fpu,
-                        JournalKind::FpuDecision,
-                        flow.0,
-                        u64::from(tcb.snd_una.0),
-                        u64::from(tcb.snd_nxt.0),
-                    );
-                }
+                self.probes.log(
+                    cycle,
+                    JournalModule::Fpu,
+                    JournalKind::FpuDecision,
+                    flow.0,
+                    u64::from(tcb.snd_una.0),
+                    u64::from(tcb.snd_nxt.0),
+                );
                 self.process_outcome(*flow, outcome, tcb);
             }
             for tcb in out.evicted.drain(..) {
                 self.trace.record(cycle, TraceKind::Evict, tcb.flow.0, u64::from(fpc_id));
-                if let Some(j) = self.journal.as_deref_mut() {
-                    j.record(
-                        cycle,
-                        JournalModule::Fpc,
-                        JournalKind::TcbEvict,
-                        tcb.flow.0,
-                        u64::from(fpc_id),
-                        0,
-                    );
-                }
+                let evict = JournalKind::TcbEvict;
+                self.probes.log(cycle, JournalModule::Fpc, evict, tcb.flow.0, u64::from(fpc_id), 0);
                 self.scheduler.on_evicted(tcb, &mut self.fpcs, &mut self.mm);
             }
             for flow in out.installed.drain(..) {
                 self.trace.record(cycle, TraceKind::SwapIn, flow.0, u64::from(fpc_id));
-                if let Some(j) = self.journal.as_deref_mut() {
-                    j.record(
-                        cycle,
-                        JournalModule::Fpc,
-                        JournalKind::TcbInstall,
-                        flow.0,
-                        u64::from(fpc_id),
-                        0,
-                    );
-                    j.record(
-                        cycle,
-                        JournalModule::Scheduler,
-                        JournalKind::TcbMigrateDone,
-                        flow.0,
-                        1,
-                        u64::from(fpc_id),
-                    );
-                }
-                self.scheduler.on_installed(
-                    flow,
-                    fpc_id,
-                    cycle,
-                    self.check.as_deref_mut(),
-                    self.flight.as_deref_mut(),
-                );
+                let (slot, install) = (u64::from(fpc_id), JournalKind::TcbInstall);
+                self.probes.log(cycle, JournalModule::Fpc, install, flow.0, slot, 0);
+                let done = JournalKind::TcbMigrateDone;
+                self.probes.log(cycle, JournalModule::Scheduler, done, flow.0, 1, slot);
+                self.scheduler.on_installed(flow, fpc_id, cycle, &mut self.probes);
             }
             self.fpc_scratch = out;
         }
 
         // 5. Memory manager.
         let mut mo = MmOutput::default();
-        self.mm.tick_flight(&mut mo, cycle, self.flight.as_deref_mut(), self.journal.as_deref_mut());
+        self.mm.tick(&mut mo, cycle, &mut self.probes);
+        let mm = JournalModule::MemoryManager;
         for flow in mo.swap_in_requests {
-            if let Some(j) = self.journal.as_deref_mut() {
-                j.record(
-                    cycle,
-                    JournalModule::MemoryManager,
-                    JournalKind::TcbSwapInReq,
-                    flow.0,
-                    0,
-                    0,
-                );
-            }
+            self.probes.log(cycle, mm, JournalKind::TcbSwapInReq, flow.0, 0, 0);
             self.scheduler.request_swap_in_at(flow, cycle);
         }
         for flow in mo.evict_done {
             self.trace.record(cycle, TraceKind::MigrateDone, flow.0, 0);
-            if let Some(j) = self.journal.as_deref_mut() {
-                j.record(
-                    cycle,
-                    JournalModule::MemoryManager,
-                    JournalKind::TcbMigrateDone,
-                    flow.0,
-                    0,
-                    Journal::DRAM_SLOT,
-                );
-            }
-            self.scheduler.on_evict_done(flow, cycle, self.check.as_deref_mut());
+            self.probes.log(cycle, mm, JournalKind::TcbMigrateDone, flow.0, 0, Journal::DRAM_SLOT);
+            self.scheduler.on_evict_done(flow, cycle, &mut self.probes);
         }
         for ev in mo.bounced {
-            if let Some(j) = self.journal.as_deref_mut() {
-                j.record(
-                    cycle,
-                    JournalModule::MemoryManager,
-                    JournalKind::EventBounced,
-                    ev.flow.0,
-                    0,
-                    0,
-                );
-            }
+            self.probes.log(cycle, mm, JournalKind::EventBounced, ev.flow.0, 0, 0);
             if !self.scheduler.push_event_at(ev, cycle) {
                 // Intake full: treat like a dropped packet; TCP recovers.
                 break;
@@ -1297,13 +1200,7 @@ impl Engine {
         if self.tx_out.len() < TX_OUT_CAP {
             let mut segs = std::mem::take(&mut self.seg_scratch);
             segs.clear();
-            self.pkt_gen.tick_flight(
-                now,
-                cycle,
-                &mut segs,
-                self.flight.as_deref_mut(),
-                self.journal.as_deref_mut(),
-            );
+            self.pkt_gen.tick(now, cycle, &mut segs, &mut self.probes);
             if self.trace.enabled() {
                 for seg in &segs {
                     self.trace.record(cycle, TraceKind::TxSegment, 0, u64::from(seg.payload_len));
@@ -1323,25 +1220,19 @@ impl Engine {
             self.seg_scratch = segs;
         }
 
-        // 7. FtVerify structural audit (residency, LUT consistency, FIFO
-        //    conservation, valid-bit leaks) on a coarse period.
-        if self.check.is_some() && cycle.is_multiple_of(AUDIT_INTERVAL) {
+        // 7. Periodic observers, on the schedule `Probes` owns (the
+        //    fast-forward path stops at every boundary, so they observe
+        //    identical state in fast-forwarded and tick-by-tick runs):
+        //    the FtVerify structural audit (residency, LUT consistency,
+        //    FIFO conservation, valid-bit leaks), the health watchdog
+        //    sweep and the FtPulse window sample.
+        if self.probes.due(Periodic::Audit, cycle) {
             self.run_audit(cycle);
         }
-
-        // 8. Online health watchdog, on its own coarse period (same
-        //    audit-boundary discipline: fast-forward windows stop at
-        //    every sweep cycle, so sweeps observe identical state in
-        //    fast-forwarded and tick-by-tick runs).
-        if self.watchdog.is_some() && cycle.is_multiple_of(self.config.watchdog_interval) {
+        if self.probes.due(Periodic::Watchdog, cycle) {
             self.run_watchdog(cycle);
         }
-
-        // 9. FtPulse window sample, on its own fixed period (same
-        //    boundary discipline as the audit and the watchdog: the
-        //    fast-forward path never skips a sample cycle, so the series
-        //    are byte-identical across execution modes).
-        if self.pulse.is_some() && cycle.is_multiple_of(self.config.pulse_interval) {
+        if self.probes.due(Periodic::Pulse, cycle) {
             self.run_pulse(cycle);
         }
 
@@ -1353,7 +1244,7 @@ impl Engine {
     /// is mid-migration (in neither an FPC nor the DRAM store this
     /// instant) are skipped; the `moving` flag covers the LUT side.
     fn run_watchdog(&mut self, cycle: u64) {
-        let Some(mut wd) = self.watchdog.take() else { return };
+        let Some(wd) = self.probes.watchdog.as_deref_mut() else { return };
         // Residency map: (snd_una, req) wherever the TCB lives, on a
         // dense slab (no hashing, deterministic iteration).
         let mut residency: FlowSlab<(u64, u64)> = FlowSlab::with_capacity(0);
@@ -1400,7 +1291,6 @@ impl Engine {
             QueueObservation { name: "engine.tx_out", depth: self.tx_out.len(), cap: TX_OUT_CAP },
         ];
         wd.observe(cycle, &flow_obs, &queues, self.pkt_gen.retransmissions());
-        self.watchdog = Some(wd);
     }
 
     /// One FtPulse window: snapshots the cumulative counters, derives
@@ -1410,7 +1300,7 @@ impl Engine {
     /// the sample cycle, so fast-forwarded and tick-by-tick runs (which
     /// both stop at every sample boundary) record identical windows.
     fn run_pulse(&mut self, cycle: u64) {
-        let Some(mut p) = self.pulse.take() else { return };
+        let Some(mut p) = self.probes.pulse.take() else { return };
         if let Some((window, bias)) = self.pulse_bias_pending {
             if p.windows_recorded() >= window {
                 self.set_flight_bias(bias);
@@ -1458,7 +1348,7 @@ impl Engine {
         // flight recorder is off): the aggregate percentile sampled at
         // each window boundary, which the shape gate replays per window.
         let mut stage_p99 = [0u64; STAGE_COUNT];
-        if let Some(f) = &self.flight {
+        if let Some(f) = &self.probes.flight {
             for stage in FlightStage::ALL {
                 stage_p99[stage.index()] = f.stage_histogram(stage).percentile(99.0);
             }
@@ -1505,7 +1395,7 @@ impl Engine {
             cache_hits,
             cache_lookups,
         };
-        self.pulse = Some(p);
+        self.probes.pulse = Some(p);
     }
 
     /// FtVerify cross-module audit. Per-cycle rules live inline in the
@@ -1514,13 +1404,13 @@ impl Engine {
     /// entry claims (§3.2's race-free migration), never in two memories
     /// at once, and every FIFO's push/pop accounting balances.
     fn run_audit(&mut self, cycle: u64) {
-        let Some(mut chk) = self.check.take() else { return };
+        let Some(chk) = self.probes.check.as_deref_mut() else { return };
         for f in &self.fpcs {
-            f.audit(cycle, &mut chk);
+            f.audit(cycle, chk);
         }
-        self.scheduler.audit(cycle, &mut chk);
-        self.mm.audit(cycle, &mut chk);
-        self.rx_parser.audit(cycle, &mut chk);
+        self.scheduler.audit(cycle, chk);
+        self.mm.audit(cycle, chk);
+        self.rx_parser.audit(cycle, chk);
 
         // Residency map: which memory actually holds each flow right now.
         // Slab/bitset-backed so audit reports come out in deterministic
@@ -1587,33 +1477,26 @@ impl Engine {
                 }
             }
         }
-        self.check = Some(chk);
     }
 
     /// Whether the FtVerify checker is attached.
     pub fn check_enabled(&self) -> bool {
-        self.check.is_some()
+        self.probes.check.is_some()
     }
 
     /// Total FtVerify violations so far (0 when the checker is off).
     pub fn check_total_violations(&self) -> u64 {
-        self.check.as_ref().map_or(0, |c| c.total_violations())
+        self.probes.check.as_ref().map_or(0, |c| c.total_violations())
     }
 
     /// The retained FtVerify violation log (empty when the checker is off).
     pub fn check_violations(&self) -> &[Violation] {
-        self.check.as_ref().map_or(&[][..], |c| c.violations())
+        self.probes.check.as_ref().map_or(&[][..], |c| c.violations())
     }
 
     /// FtVerify report, when the checker is attached.
     pub fn check_summary(&self) -> Option<String> {
-        self.check.as_ref().map(|c| c.summary())
-    }
-
-    /// Mutable access to the attached checker (tests tighten the
-    /// valid-bit leak bound through this).
-    pub fn checker_mut(&mut self) -> Option<&mut InvariantChecker> {
-        self.check.as_deref_mut()
+        self.probes.check.as_ref().map(|c| c.summary())
     }
 
     /// FtVerify fault injection: corrupts `flow`'s location-LUT entry
@@ -1680,9 +1563,9 @@ impl Engine {
     ///   the request FIFO's 64 free slots exceed the 16-slot threshold);
     /// * the memory manager accrues DRAM pacer credit up to its burst cap.
     ///
-    /// With the checker attached the window additionally stops at every
-    /// `AUDIT_INTERVAL` boundary so structural audits run at exactly the
-    /// cycles the tick-by-tick run audits.
+    /// The window also stops at the next periodic-observer boundary
+    /// ([`Probes::next_boundary`]) so audits, watchdog sweeps and pulse
+    /// samples run at exactly the cycles the tick-by-tick run runs them.
     fn try_fast_forward(&mut self, end: u64) -> bool {
         let cycle = self.cycle;
         let mut target = match self.next_activity() {
@@ -1690,31 +1573,8 @@ impl Engine {
             Some(h) => h.min(end),
             None => end,
         };
-        if self.check.is_some() {
-            let next_audit = if cycle.is_multiple_of(AUDIT_INTERVAL) {
-                cycle
-            } else {
-                (cycle / AUDIT_INTERVAL + 1) * AUDIT_INTERVAL
-            };
-            target = target.min(next_audit);
-        }
-        // The watchdog sweeps on its own period; stop every window at the
-        // next sweep cycle so fast-forwarded and tick-by-tick runs observe
-        // identical state at identical cycles.
-        if self.watchdog.is_some() {
-            let iv = self.config.watchdog_interval;
-            let next_sweep =
-                if cycle.is_multiple_of(iv) { cycle } else { (cycle / iv + 1) * iv };
-            target = target.min(next_sweep);
-        }
-        // FtPulse samples at fixed cycle boundaries; stop every window at
-        // the next sample cycle so the recorded series are byte-identical
-        // across execution modes (DESIGN.md §15).
-        if self.pulse.is_some() {
-            let iv = self.config.pulse_interval;
-            let next_sample =
-                if cycle.is_multiple_of(iv) { cycle } else { (cycle / iv + 1) * iv };
-            target = target.min(next_sample);
+        if let Some(b) = self.probes.next_boundary(cycle) {
+            target = target.min(b);
         }
         if target <= cycle {
             return false;

@@ -26,7 +26,7 @@ use crate::fpu::{EventView, Fpu, FpuOutcome};
 use f4t_mem::Cam;
 use f4t_sim::check::{InvariantChecker, PortTracker, ViolationKind};
 use f4t_sim::clock::odd_cycles_in;
-use f4t_sim::{Fifo, FlightRecorder, FlightStage, FlowSet};
+use f4t_sim::{Fifo, FlightStage, FlowSet, Probes};
 use f4t_tcp::{CongestionControl, FlowId, Tcb, TcpFlags};
 use std::sync::Arc;
 
@@ -391,14 +391,8 @@ impl Fpc {
     }
 
     /// Event-handler write: accumulate `event` into the event table.
-    fn handle_event(
-        &mut self,
-        event: FlowEvent,
-        now_ns: u64,
-        cycle: u64,
-        chk: Option<&mut InvariantChecker>,
-    ) {
-        if let Some(chk) = chk {
+    fn handle_event(&mut self, event: FlowEvent, now_ns: u64, cycle: u64, probes: &mut Probes) {
+        if let Some(chk) = probes.checker() {
             // Event accumulation is the even phase of the two-cycle port
             // schedule (§4.2.3); running it on a dispatch cycle would
             // collide with the TCB manager's event-table ports.
@@ -504,13 +498,7 @@ impl Fpc {
     /// construct the merged TCB, clear valid bits and issue to the FPU.
     /// `gate_open` is false when the downstream TX path is exerting
     /// backpressure (dispatch throttles rather than stalls mid-pipeline).
-    fn dispatch(
-        &mut self,
-        now_cycle: u64,
-        gate_open: bool,
-        chk: Option<&mut InvariantChecker>,
-        flight: Option<&mut FlightRecorder>,
-    ) {
+    fn dispatch(&mut self, now_cycle: u64, gate_open: bool, probes: &mut Probes) {
         if !gate_open {
             self.stall_backpressure += 1;
             return;
@@ -520,7 +508,7 @@ impl Fpc {
             ScanPolicy::FullIteration => {
                 let idx = self.rr_ptr;
                 self.rr_ptr = (self.rr_ptr + 1) % n;
-                self.try_issue(idx, now_cycle, chk, flight)
+                self.try_issue(idx, now_cycle, probes)
             }
             ScanPolicy::SkipIdle => {
                 let mut issued = false;
@@ -528,7 +516,7 @@ impl Fpc {
                     let idx = (self.rr_ptr + off) % n;
                     if self.table.dispatchable(idx) {
                         self.rr_ptr = (idx + 1) % n;
-                        issued = self.try_issue(idx, now_cycle, chk, flight);
+                        issued = self.try_issue(idx, now_cycle, probes);
                         break;
                     }
                 }
@@ -546,17 +534,11 @@ impl Fpc {
         }
     }
 
-    fn try_issue(
-        &mut self,
-        idx: usize,
-        now_cycle: u64,
-        chk: Option<&mut InvariantChecker>,
-        flight: Option<&mut FlightRecorder>,
-    ) -> bool {
+    fn try_issue(&mut self, idx: usize, now_cycle: u64, probes: &mut Probes) -> bool {
         if !self.table.dispatchable(idx) {
             return false;
         }
-        if let Some(chk) = chk {
+        if let Some(chk) = probes.checker() {
             // Dispatch is the odd phase of the two-cycle schedule.
             if now_cycle.is_multiple_of(2) {
                 chk.report(
@@ -585,15 +567,13 @@ impl Fpc {
                 );
             }
         }
-        if let Some(f) = flight {
-            // The accumulation wait: valid bits first set to the merged
-            // view being consumed by this FPU issue.
-            f.record(
-                FlightStage::EventAccum,
-                self.table.tcbs[idx].flow.0,
-                now_cycle.saturating_sub(self.table.pending_since[idx]),
-            );
-        }
+        // The accumulation wait: valid bits first set to the merged view
+        // being consumed by this FPU issue.
+        probes.span(
+            FlightStage::EventAccum,
+            self.table.tcbs[idx].flow.0,
+            now_cycle.saturating_sub(self.table.pending_since[idx]),
+        );
         // Construct the merged TCB: event-table values with valid bits set
         // override; dup-ACK count rides in the EventView (its valid bit is
         // NOT cleared at dispatch — see the event handler above).
@@ -615,24 +595,16 @@ impl Fpc {
     /// `tx_gate_open` reflects packet-generator FIFO space; when false the
     /// TCB manager pauses dispatch (events keep accumulating — this is the
     /// mechanism behind the paper's observation that link backpressure
-    /// grows the effective request size, §5.1).
-    pub fn tick(&mut self, cycle: u64, now_ns: u64, tx_gate_open: bool, out: &mut FpcOutput) {
-        self.tick_checked(cycle, now_ns, tx_gate_open, out, None, None);
-    }
-
-    /// [`Fpc::tick`] with an optional FtVerify checker and FtFlight
-    /// recorder attached; the engine routes its checker here when
-    /// `EngineConfig::check` is set and its recorder when
-    /// `EngineConfig::flight` is. The `None` paths are a single branch per
-    /// call site — production runs pay nothing.
-    pub fn tick_checked(
+    /// grows the effective request size, §5.1). `probes` carries the
+    /// engine's checker (port budgets, schedule parity, RMW hazards) and
+    /// FtFlight recorder; with neither attached each hook is one branch.
+    pub fn tick(
         &mut self,
         cycle: u64,
         now_ns: u64,
         tx_gate_open: bool,
         out: &mut FpcOutput,
-        mut chk: Option<&mut InvariantChecker>,
-        mut flight: Option<&mut FlightRecorder>,
+        probes: &mut Probes,
     ) {
         // FtScope occupancy gauges: three u64 adds per cycle.
         self.ticks += 1;
@@ -642,19 +614,13 @@ impl Fpc {
         // FPU advances every cycle; completions write back / evict.
         if let Some(result) = self.fpu.tick(cycle, now_ns) {
             let flow = result.tcb.flow;
-            if let Some(f) = flight.as_deref_mut() {
-                f.record(
-                    FlightStage::FpuProcess,
-                    flow.0,
-                    cycle.saturating_sub(result.issued_cycle),
-                );
-            }
-            if let Some(c) = chk.as_deref_mut() {
+            probes.span(FlightStage::FpuProcess, flow.0, cycle.saturating_sub(result.issued_cycle));
+            if let Some(c) = probes.checker() {
                 // FPU write-back port on the TCB table.
                 self.tcb_ports.access(cycle, 1, c);
             }
             if let Some(idx) = self.cam.lookup(flow) {
-                if let Some(c) = chk.as_deref_mut() {
+                if let Some(c) = probes.checker() {
                     if !self.table.in_fpu.contains(idx as u32) {
                         // The pipeline returned a TCB the slot bookkeeping
                         // no longer considers in flight: a stale copy was
@@ -710,15 +676,14 @@ impl Fpc {
         if cycle.is_multiple_of(2) {
             // Even cycle: event handling + swap-in acceptance.
             if let Some(ev) = self.input_events.pop() {
-                let stamp = self.ev_stamps.as_mut().and_then(|s| s.pop());
-                if let (Some(f), Some(stamp)) = (flight.as_deref_mut(), stamp) {
-                    f.record(FlightStage::TcbFetchSram, ev.flow.0, cycle.saturating_sub(stamp));
+                if let Some(stamp) = self.ev_stamps.as_mut().and_then(|s| s.pop()) {
+                    probes.span(FlightStage::TcbFetchSram, ev.flow.0, cycle.saturating_sub(stamp));
                 }
-                self.handle_event(ev, now_ns, cycle, chk.as_deref_mut());
+                self.handle_event(ev, now_ns, cycle, probes);
             }
             if let Some((tcb, ev)) = self.input_tcbs.pop() {
                 let flow = tcb.flow;
-                if let Some(c) = chk.as_deref_mut() {
+                if let Some(c) = probes.checker() {
                     // Swap-in writes both halves of the dual memory.
                     self.tcb_ports.access(cycle, 1, c);
                     self.ev_ports.access(cycle, 1, c);
@@ -733,7 +698,7 @@ impl Fpc {
                     self.table.last_progress[slot_idx] = cycle;
                     out.installed.push(flow);
                 } else {
-                    if let Some(c) = chk.as_deref_mut() {
+                    if let Some(c) = probes.checker() {
                         c.report(
                             cycle,
                             ViolationKind::MigrationRace,
@@ -746,7 +711,7 @@ impl Fpc {
             }
         } else {
             // Odd cycle: TCB-manager dispatch (FPU writeback handled above).
-            self.dispatch(cycle, tx_gate_open, chk, flight);
+            self.dispatch(cycle, tx_gate_open, probes);
         }
     }
 
@@ -872,7 +837,7 @@ mod tests {
 
     fn run_cycles(fpc: &mut Fpc, from: u64, n: u64, out: &mut FpcOutput) {
         for c in from..from + n {
-            fpc.tick(c, c * 4, true, out);
+            fpc.tick(c, c * 4, true, out, &mut Probes::default());
         }
     }
 
@@ -956,7 +921,7 @@ mod tests {
         // The flow has endless more_work; with a 50-cycle FPU it must not
         // be re-issued while in flight.
         for c in 0..400u64 {
-            f.tick(c, c * 4, true, &mut out);
+            f.tick(c, c * 4, true, &mut out, &mut Probes::default());
             assert!(f.fpu.depth_used() <= 1, "flow double-issued at cycle {c}");
         }
     }
@@ -1066,7 +1031,7 @@ mod tests {
             0,
         ));
         for c in 4..40u64 {
-            f.tick(c, c * 4, false, &mut out);
+            f.tick(c, c * 4, false, &mut out, &mut Probes::default());
         }
         assert_eq!(f.events_handled(), 1);
         assert!(out.tx.is_empty(), "no dispatch while gated");

@@ -20,8 +20,7 @@ use crate::fpu::EventView;
 use f4t_mem::{CacheAccess, DramKind, DramModel, TcbCache, TCB_BYTES};
 use f4t_sim::check::InvariantChecker;
 use f4t_sim::{
-    Fifo, FlightRecorder, FlightStage, FlowSet, FlowSlab, Histogram, Journal, JournalKind,
-    JournalModule, SlabQueue,
+    Fifo, FlightStage, FlowSet, FlowSlab, Histogram, JournalKind, JournalModule, Probes, SlabQueue,
 };
 use f4t_tcp::{FlowId, Tcb, TcpFlags};
 
@@ -312,23 +311,11 @@ impl MemoryManager {
             || ev.ack.is_some_and(|a| a.gt(tcb.snd_una))
     }
 
-    /// Advances one engine cycle.
-    pub fn tick(&mut self, out: &mut MmOutput) {
-        self.tick_flight(out, 0, None, None);
-    }
-
-    /// [`tick`](Self::tick) with FtFlight attribution: when a queued event
-    /// is handled in place, the span from its routing stamp to `now_cycle`
-    /// (the engine clock) is recorded as DRAM-side `event_accum`, and an
-    /// FtJournal `dram_event_handled` entry is emitted when a journal is
-    /// attached.
-    pub fn tick_flight(
-        &mut self,
-        out: &mut MmOutput,
-        now_cycle: u64,
-        flight: Option<&mut FlightRecorder>,
-        journal: Option<&mut Journal>,
-    ) {
+    /// Advances one engine cycle. When a queued event is handled in
+    /// place, the span from its routing stamp to `now_cycle` (the engine
+    /// clock) is recorded as DRAM-side FtFlight `event_accum` and a
+    /// `dram_event_handled` event is journalled.
+    pub fn tick(&mut self, out: &mut MmOutput, now_cycle: u64, probes: &mut Probes) {
         self.cycle += 1;
         self.dram.tick();
 
@@ -370,28 +357,22 @@ impl MemoryManager {
                 };
                 if charge == 0 || self.dram.try_access(charge) {
                     self.input.pop();
-                    let stamp = self.input_stamps.as_mut().and_then(|s| s.pop());
-                    if let (Some(f), Some(stamp)) = (flight, stamp) {
-                        f.record(
-                            FlightStage::EventAccum,
-                            flow.0,
-                            now_cycle.saturating_sub(stamp),
-                        );
+                    if let Some(stamp) = self.input_stamps.as_mut().and_then(|s| s.pop()) {
+                        let wait = now_cycle.saturating_sub(stamp);
+                        probes.span(FlightStage::EventAccum, flow.0, wait);
                     }
                     let (tcb, mut ev) = *entry;
                     Self::accumulate(&tcb, &mut ev, &event);
                     self.events_handled += 1;
                     let can_send = Self::check_can_send(&tcb, &ev);
-                    if let Some(j) = journal {
-                        j.record(
-                            now_cycle,
-                            JournalModule::MemoryManager,
-                            JournalKind::DramEventHandled,
-                            flow.0,
-                            charge,
-                            u64::from(can_send),
-                        );
-                    }
+                    probes.log(
+                        now_cycle,
+                        JournalModule::MemoryManager,
+                        JournalKind::DramEventHandled,
+                        flow.0,
+                        charge,
+                        u64::from(can_send),
+                    );
                     self.store.insert(flow.0, (tcb, ev));
                     if charge > 0 {
                         self.cache.fill(tcb);
@@ -492,7 +473,7 @@ mod tests {
     fn run(mm: &mut MemoryManager, cycles: u64) -> MmOutput {
         let mut out = MmOutput::default();
         for _ in 0..cycles {
-            mm.tick(&mut out);
+            mm.tick(&mut out, 0, &mut Probes::default());
         }
         out
     }
@@ -570,7 +551,7 @@ mod tests {
                 && mm.push_event(send_event(id, (c / 64 + 1) as u32 * 10)) {
                     pushed += 1;
                 }
-            mm.tick(&mut out);
+            mm.tick(&mut out, 0, &mut Probes::default());
             cycles += 1;
         }
         let handled = mm.events_handled();
@@ -595,7 +576,7 @@ mod tests {
             if mm.can_accept_event() && mm.push_event(send_event(id, (c / 64 + 1) as u32 * 10)) {
                 offered += 1;
             }
-            mm.tick(&mut out);
+            mm.tick(&mut out, 0, &mut Probes::default());
         }
         // HBM sustains ~1 event/cycle even with 100% cache misses.
         assert!(
@@ -615,7 +596,7 @@ mod tests {
         let mut out = MmOutput::default();
         for i in 0..32u32 {
             mm.push_event(send_event(3, (i + 1) * 10));
-            mm.tick(&mut out);
+            mm.tick(&mut out, 0, &mut Probes::default());
         }
         assert_eq!(mm.events_handled(), 32);
         assert_eq!(mm.dram().bytes_served(), served_before, "all hits: no DRAM bytes");

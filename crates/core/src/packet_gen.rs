@@ -11,7 +11,7 @@
 //! accumulated fractionally.
 
 use crate::event::TxRequest;
-use f4t_sim::{Fifo, FlightRecorder, FlightStage, Journal, JournalKind, JournalModule};
+use f4t_sim::{Fifo, FlightStage, JournalKind, JournalModule, Probes};
 use f4t_tcp::{Segment, TcpFlags};
 
 /// The packet generator.
@@ -98,23 +98,11 @@ impl PacketGenerator {
     }
 
     /// Advances one engine (250 MHz) cycle, emitting segments into `out`.
-    /// `now_ns` stamps the TSval of data segments.
-    pub fn tick(&mut self, now_ns: u64, out: &mut Vec<Segment>) {
-        self.tick_flight(now_ns, 0, out, None, None);
-    }
-
-    /// [`tick`](Self::tick) with FtFlight attribution: when the head
-    /// request finishes segmenting, the span from its FPC-exit stamp to
-    /// `cycle` is recorded as `tx_emit`. With an FtJournal attached, each
-    /// emitted segment records a `tx_emit` journal event.
-    pub fn tick_flight(
-        &mut self,
-        now_ns: u64,
-        cycle: u64,
-        out: &mut Vec<Segment>,
-        mut flight: Option<&mut FlightRecorder>,
-        mut journal: Option<&mut Journal>,
-    ) {
+    /// `now_ns` stamps the TSval of data segments. When the head request
+    /// finishes segmenting, the span from its FPC-exit stamp to `cycle` is
+    /// recorded as FtFlight `tx_emit`; each emitted segment journals a
+    /// `tx_emit` event.
+    pub fn tick(&mut self, now_ns: u64, cycle: u64, out: &mut Vec<Segment>, probes: &mut Probes) {
         self.net_cycle_credit += NET_PER_ENGINE_MILLI;
         let mut budget = (self.net_cycle_credit / 1000) * u64::from(self.parallelism);
         self.net_cycle_credit %= 1000;
@@ -148,22 +136,19 @@ impl PacketGenerator {
             if req.retransmit {
                 self.retransmissions += 1;
             }
-            if let Some(j) = journal.as_deref_mut() {
-                j.record(
-                    cycle,
-                    JournalModule::PacketGen,
-                    JournalKind::TxEmit,
-                    req.flow.0,
-                    u64::from(seg.payload_len),
-                    u64::from(req.retransmit),
-                );
-            }
+            probes.log(
+                cycle,
+                JournalModule::PacketGen,
+                JournalKind::TxEmit,
+                req.flow.0,
+                u64::from(seg.payload_len),
+                u64::from(req.retransmit),
+            );
             budget -= 1;
             if self.head_offset + seg_len >= req.len {
                 self.requests.pop();
-                let stamp = self.request_stamps.as_mut().and_then(|s| s.pop());
-                if let (Some(f), Some(stamp)) = (flight.as_deref_mut(), stamp) {
-                    f.record(FlightStage::TxEmit, req.flow.0, cycle.saturating_sub(stamp));
+                if let Some(stamp) = self.request_stamps.as_mut().and_then(|s| s.pop()) {
+                    probes.span(FlightStage::TxEmit, req.flow.0, cycle.saturating_sub(stamp));
                 }
                 self.head_offset = 0;
             } else {
@@ -237,8 +222,9 @@ mod tests {
 
     fn drain(pg: &mut PacketGenerator, ticks: u64) -> Vec<Segment> {
         let mut out = Vec::new();
+        let mut probes = Probes::default();
         for t in 0..ticks {
-            pg.tick(t * 4, &mut out);
+            pg.tick(t * 4, t, &mut out, &mut probes);
         }
         out
     }

@@ -26,7 +26,7 @@
 //! its own quiescent state at the same cycle numbers whether the run is
 //! tick-by-tick, fast-forwarded or parallel.
 
-use crate::engine::AUDIT_INTERVAL;
+use f4t_sim::probes::AUDIT_INTERVAL;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Barrier;
 
@@ -254,7 +254,7 @@ mod tests {
 
     #[test]
     fn quantum_is_audit_aligned() {
-        assert_eq!(RENDEZVOUS_QUANTUM, crate::engine::AUDIT_INTERVAL);
+        assert_eq!(RENDEZVOUS_QUANTUM, AUDIT_INTERVAL);
         assert!(RENDEZVOUS_QUANTUM.is_multiple_of(2), "even/odd FPC phases stay aligned");
     }
 }

@@ -12,7 +12,7 @@
 //! *post-reassembly* in-order pointer, so the FPU never touches payload.
 
 use crate::event::{EventKind, FlowEvent};
-use f4t_sim::{Fifo, FlightRecorder, FlightStage, Journal, JournalKind, JournalModule};
+use f4t_sim::{Fifo, FlightStage, JournalKind, JournalModule, Probes};
 use f4t_tcp::reassembly::ReassemblyResult;
 use f4t_tcp::{FlowId, FlowTable, ReassemblyTracker, Segment, SeqNum, TcpFlags, TCP_BUFFER};
 use std::collections::HashMap;
@@ -199,49 +199,46 @@ impl RxParser {
             % 1000) as u64;
     }
 
-    /// Parses one segment into an event (the per-packet work). `span` is
-    /// the FtFlight context: the ingest stamp popped alongside the segment
-    /// plus the current engine cycle.
+    /// Parses one segment into an event (the per-packet work). `stamp` is
+    /// the FtFlight ingest stamp popped alongside the segment.
     fn parse_one(
         &mut self,
         seg: Segment,
         now_ns: u64,
         cycle: u64,
+        stamp: Option<u64>,
         out: &mut RxOutput,
-        span: Option<(&mut FlightRecorder, u64, u64)>,
-        mut journal: Option<&mut Journal>,
+        probes: &mut Probes,
     ) {
         self.segments_in += 1;
         // Lookup by OUR tuple: the segment's source is the peer.
         let our_tuple = seg.tuple.reversed();
-        let (looked_up, probes) = self.flow_table.lookup_probed(&our_tuple);
+        let (looked_up, hops) = self.flow_table.lookup_probed(&our_tuple);
         self.cuckoo_lookups += 1;
-        self.cuckoo_probes += u64::from(probes);
-        if let (Some((f, stamp, cycle)), Some(flow)) = (span, looked_up) {
-            f.record(FlightStage::RxIngest, flow.0, cycle.saturating_sub(stamp));
-            f.record(FlightStage::CuckooLookup, flow.0, u64::from(probes));
+        self.cuckoo_probes += u64::from(hops);
+        if let (Some(stamp), Some(flow)) = (stamp, looked_up) {
+            probes.span(FlightStage::RxIngest, flow.0, cycle.saturating_sub(stamp));
+            probes.span(FlightStage::CuckooLookup, flow.0, u64::from(hops));
         }
-        if let Some(j) = journal.as_deref_mut() {
-            match looked_up {
-                Some(flow) => j.record(
-                    cycle,
-                    JournalModule::RxParser,
-                    JournalKind::CuckooHit,
-                    flow.0,
-                    u64::from(probes),
-                    0,
-                ),
-                // Unknown tuple: no flow id exists; the sentinel u32::MAX
-                // marks table misses (SYNs to listening ports included).
-                None => j.record(
-                    cycle,
-                    JournalModule::RxParser,
-                    JournalKind::CuckooMiss,
-                    u32::MAX,
-                    u64::from(probes),
-                    u64::from(seg.flags.contains(TcpFlags::SYN)),
-                ),
-            }
+        match looked_up {
+            Some(flow) => probes.log(
+                cycle,
+                JournalModule::RxParser,
+                JournalKind::CuckooHit,
+                flow.0,
+                u64::from(hops),
+                0,
+            ),
+            // Unknown tuple: no flow id exists; the sentinel u32::MAX
+            // marks table misses (SYNs to listening ports included).
+            None => probes.log(
+                cycle,
+                JournalModule::RxParser,
+                JournalKind::CuckooMiss,
+                u32::MAX,
+                u64::from(hops),
+                u64::from(seg.flags.contains(TcpFlags::SYN)),
+            ),
         }
         let Some(flow) = looked_up else {
             if seg.flags.contains(TcpFlags::SYN) && self.listening.contains(&seg.tuple.dst_port) {
@@ -317,16 +314,14 @@ impl RxParser {
             }
         }
 
-        if let Some(j) = journal {
-            j.record(
-                cycle,
-                JournalModule::RxParser,
-                JournalKind::SegAccepted,
-                flow.0,
-                u64::from(seg.payload_len),
-                u64::from(in_order),
-            );
-        }
+        probes.log(
+            cycle,
+            JournalModule::RxParser,
+            JournalKind::SegAccepted,
+            flow.0,
+            u64::from(seg.payload_len),
+            u64::from(in_order),
+        );
         out.events.push(FlowEvent::new(
             flow,
             EventKind::RxPacket {
@@ -345,35 +340,18 @@ impl RxParser {
     }
 
     /// Advances one engine (250 MHz) cycle, parsing up to the network-rate
-    /// budget of segments.
-    pub fn tick(&mut self, now_ns: u64, out: &mut RxOutput) {
-        self.tick_flight(now_ns, 0, out, None, None);
-    }
-
-    /// [`tick`](Self::tick) with FtFlight attribution: each parsed segment
-    /// records its input-FIFO residency (`rx_ingest`, arrival stamp to
-    /// `cycle`) and its cuckoo probe count (`cuckoo_lookup`). With an
-    /// FtJournal attached, each segment also emits `cuckoo_hit` /
-    /// `cuckoo_miss` and `seg_accepted` journal events.
-    pub fn tick_flight(
-        &mut self,
-        now_ns: u64,
-        cycle: u64,
-        out: &mut RxOutput,
-        mut flight: Option<&mut FlightRecorder>,
-        mut journal: Option<&mut Journal>,
-    ) {
+    /// budget of segments. Each parsed segment records its input-FIFO
+    /// residency (FtFlight `rx_ingest`, arrival stamp to `cycle`) and its
+    /// cuckoo probe count (`cuckoo_lookup`), and journals `cuckoo_hit` /
+    /// `cuckoo_miss` and `seg_accepted` events.
+    pub fn tick(&mut self, now_ns: u64, cycle: u64, out: &mut RxOutput, probes: &mut Probes) {
         self.net_cycle_credit += NET_PER_ENGINE_MILLI;
         let mut budget = (self.net_cycle_credit / 1000) * u64::from(self.parallelism);
         self.net_cycle_credit %= 1000;
         while budget > 0 {
             let Some(seg) = self.input.pop() else { break };
             let stamp = self.ingest_stamps.as_mut().and_then(|s| s.pop());
-            let span = match (flight.as_deref_mut(), stamp) {
-                (Some(f), Some(stamp)) => Some((f, stamp, cycle)),
-                _ => None,
-            };
-            self.parse_one(seg, now_ns, cycle, out, span, journal.as_deref_mut());
+            self.parse_one(seg, now_ns, cycle, stamp, out, probes);
             budget -= 1;
         }
     }
@@ -446,8 +424,9 @@ mod tests {
 
     fn drain(p: &mut RxParser, ticks: u64) -> RxOutput {
         let mut out = RxOutput::default();
+        let mut probes = Probes::default();
         for t in 0..ticks {
-            p.tick(t * 4, &mut out);
+            p.tick(t * 4, t, &mut out, &mut probes);
         }
         out
     }

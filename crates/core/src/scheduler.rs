@@ -15,7 +15,7 @@ use crate::memory_manager::MemoryManager;
 use f4t_mem::{Location, LocationLut};
 use f4t_sim::check::{InvariantChecker, ViolationKind};
 use f4t_sim::{
-    Fifo, FlightRecorder, FlightStage, FlowSlab, Journal, JournalKind, JournalModule, SlabQueue,
+    Fifo, FlightStage, FlowSlab, Journal, JournalKind, JournalModule, Probes, SlabQueue,
 };
 use f4t_tcp::{FlowId, Tcb};
 
@@ -257,14 +257,8 @@ impl Scheduler {
     /// Sets `flow`'s LUT entry, validating the migration-protocol edge
     /// when an FtVerify checker is attached. All protocol-path writes go
     /// through here; only the documented fault-injection hook bypasses it.
-    fn set_location(
-        &mut self,
-        flow: FlowId,
-        to: Location,
-        cycle: u64,
-        chk: Option<&mut InvariantChecker>,
-    ) {
-        if let Some(chk) = chk {
+    fn set_location(&mut self, flow: FlowId, to: Location, cycle: u64, probes: &mut Probes) {
+        if let Some(chk) = probes.checker() {
             let from = self.lut.peek(flow);
             if !lut_transition_legal(from, to) {
                 chk.report(
@@ -294,7 +288,7 @@ impl Scheduler {
         fpcs: &mut [Fpc],
         mm: &mut MemoryManager,
         cycle: u64,
-        chk: Option<&mut InvariantChecker>,
+        probes: &mut Probes,
     ) -> Location {
         let flow = tcb.flow;
         let target = fpcs
@@ -307,12 +301,12 @@ impl Scheduler {
             Some(i) => {
                 let accepted = fpcs[i].push_tcb(tcb, EventView::default());
                 debug_assert!(accepted, "can_accept_tcb lied");
-                self.set_location(flow, Location::Moving, cycle, chk);
+                self.set_location(flow, Location::Moving, cycle, probes);
                 Location::Fpc(i as u8)
             }
             None => {
                 mm.insert_new(tcb);
-                self.set_location(flow, Location::Moving, cycle, chk);
+                self.set_location(flow, Location::Moving, cycle, probes);
                 Location::Dram
             }
         }
@@ -323,48 +317,29 @@ impl Scheduler {
         self.lut.peek(flow)
     }
 
-    /// Engine callback: an FPC's swap-in port installed `flow`. With an
-    /// FtFlight recorder attached, closes the `tcb_fetch_dram` span opened
-    /// when the migration / swap-in began.
-    pub fn on_installed(
-        &mut self,
-        flow: FlowId,
-        fpc: u8,
-        cycle: u64,
-        chk: Option<&mut InvariantChecker>,
-        flight: Option<&mut FlightRecorder>,
-    ) {
-        self.set_location(flow, Location::Fpc(fpc), cycle, chk);
+    /// Engine callback: an FPC's swap-in port installed `flow`. Closes
+    /// the FtFlight `tcb_fetch_dram` span opened when the migration /
+    /// swap-in began.
+    pub fn on_installed(&mut self, flow: FlowId, fpc: u8, cycle: u64, probes: &mut Probes) {
+        self.set_location(flow, Location::Fpc(fpc), cycle, probes);
         self.migrations.remove(flow.0);
         if let Some(start) = self.migration_started.remove(flow.0) {
-            if let Some(f) = flight {
-                f.record(FlightStage::TcbFetchDram, flow.0, cycle.saturating_sub(start));
-            }
+            probes.span(FlightStage::TcbFetchDram, flow.0, cycle.saturating_sub(start));
         }
     }
 
     /// Engine callback: the memory manager finished writing `flow` to
     /// DRAM (Fig. 6's evict-complete signal).
-    pub fn on_evict_done(
-        &mut self,
-        flow: FlowId,
-        cycle: u64,
-        chk: Option<&mut InvariantChecker>,
-    ) {
-        self.set_location(flow, Location::Dram, cycle, chk);
+    pub fn on_evict_done(&mut self, flow: FlowId, cycle: u64, probes: &mut Probes) {
+        self.set_location(flow, Location::Dram, cycle, probes);
         self.migrations.remove(flow.0);
         self.migration_started.remove(flow.0);
     }
 
     /// Engine callback: the connection fully closed; release routing
     /// state so the flow id slot can be reused by new connections.
-    pub fn on_flow_closed(
-        &mut self,
-        flow: FlowId,
-        cycle: u64,
-        chk: Option<&mut InvariantChecker>,
-    ) {
-        self.set_location(flow, Location::Unallocated, cycle, chk);
+    pub fn on_flow_closed(&mut self, flow: FlowId, cycle: u64, probes: &mut Probes) {
+        self.set_location(flow, Location::Unallocated, cycle, probes);
         self.migrations.remove(flow.0);
         self.migration_started.remove(flow.0);
     }
@@ -389,7 +364,6 @@ impl Scheduler {
     }
 
     /// Begins evicting `flow` from `from_fpc` toward `dest`.
-    #[allow(clippy::too_many_arguments)]
     fn start_migration(
         &mut self,
         flow: FlowId,
@@ -397,8 +371,7 @@ impl Scheduler {
         dest: MigrationDest,
         fpcs: &mut [Fpc],
         cycle: u64,
-        chk: Option<&mut InvariantChecker>,
-        journal: Option<&mut Journal>,
+        probes: &mut Probes,
     ) -> bool {
         if self.migrations.contains(flow.0) {
             return false;
@@ -406,27 +379,26 @@ impl Scheduler {
         if !fpcs[from_fpc].request_evict(flow) {
             return false;
         }
-        self.set_location(flow, Location::Moving, cycle, chk);
+        self.set_location(flow, Location::Moving, cycle, probes);
         self.migrations.insert(flow.0, dest);
         if self.flight_enabled && !self.migration_started.contains(flow.0) {
             self.migration_started.insert(flow.0, cycle);
         }
-        if let Some(j) = journal {
-            let to = match dest {
-                MigrationDest::Dram => Journal::DRAM_SLOT,
-                MigrationDest::Fpc(j) => u64::from(j),
-            };
-            j.record(
-                cycle,
-                JournalModule::Scheduler,
-                JournalKind::TcbMigrateStart,
-                flow.0,
-                from_fpc as u64,
-                to,
-            );
-        }
+        let to = match dest {
+            MigrationDest::Dram => Journal::DRAM_SLOT,
+            MigrationDest::Fpc(j) => u64::from(j),
+        };
+        let kind = JournalKind::TcbMigrateStart;
+        probes.log(cycle, JournalModule::Scheduler, kind, flow.0, from_fpc as u64, to);
         self.stats.migrations += 1;
         true
+    }
+
+    /// Parks `ev` in the pending queue for a retry after
+    /// [`PENDING_RETRY_CYCLES`], keeping the cycle it was first parked.
+    fn park(&mut self, ev: FlowEvent, cycle: u64, parked_at: Option<u64>) {
+        self.pending.push_back((ev, cycle + PENDING_RETRY_CYCLES, parked_at.unwrap_or(cycle)));
+        self.stats.parked += 1;
     }
 
     /// Routes one event; returns `true` when consumed (delivered or
@@ -434,10 +406,6 @@ impl Scheduler {
     /// event first entered the pending queue (`None` when routing straight
     /// out of a coalesce FIFO); a successful delivery closes that FtFlight
     /// `pending_wait` span.
-    // Routing touches every sibling module plus both observability
-    // sinks; bundling them into a context struct would only move the
-    // argument list one call deeper.
-    #[allow(clippy::too_many_arguments)]
     fn route(
         &mut self,
         ev: FlowEvent,
@@ -445,148 +413,67 @@ impl Scheduler {
         parked_at: Option<u64>,
         fpcs: &mut [Fpc],
         mm: &mut MemoryManager,
-        chk: Option<&mut InvariantChecker>,
-        flight: Option<&mut FlightRecorder>,
-        mut journal: Option<&mut Journal>,
+        probes: &mut Probes,
     ) -> bool {
         let Some(loc) = self.lut.lookup(ev.flow) else {
             return false; // LUT partition budget exhausted this cycle
         };
+        let flow = ev.flow.0;
+        // Journals the routing decision; a delivery also closes the
+        // pending-wait span of a retried event.
+        let routed = |probes: &mut Probes, delivered: bool, a: u64, b: u64| {
+            if let (true, Some(parked)) = (delivered, parked_at) {
+                probes.span(FlightStage::PendingWait, flow, cycle - parked);
+            }
+            probes.log(cycle, JournalModule::Scheduler, JournalKind::EventRouted, flow, a, b);
+        };
         match loc {
             Location::Unallocated => {
                 self.stats.dropped += 1;
-                if let Some(j) = journal {
-                    j.record(
-                        cycle,
-                        JournalModule::Scheduler,
-                        JournalKind::EventDropped,
-                        ev.flow.0,
-                        0,
-                        0,
-                    );
-                }
-                true
+                probes.log(cycle, JournalModule::Scheduler, JournalKind::EventDropped, flow, 0, 0);
             }
             Location::Moving => {
-                self.pending.push_back((
-                    ev,
-                    cycle + PENDING_RETRY_CYCLES,
-                    parked_at.unwrap_or(cycle),
-                ));
-                self.stats.parked += 1;
-                if let Some(j) = journal {
-                    j.record(
-                        cycle,
-                        JournalModule::Scheduler,
-                        JournalKind::EventRouted,
-                        ev.flow.0,
-                        Journal::ROUTE_PARKED,
-                        0,
-                    );
-                }
-                true
+                self.park(ev, cycle, parked_at);
+                routed(probes, false, Journal::ROUTE_PARKED, 0);
             }
             Location::Dram => {
                 if mm.push_event_at(ev, cycle) {
                     self.stats.routed_dram += 1;
-                    if let (Some(f), Some(parked)) = (flight, parked_at) {
-                        f.record(FlightStage::PendingWait, ev.flow.0, cycle - parked);
-                    }
-                    if let Some(j) = journal {
-                        j.record(
-                            cycle,
-                            JournalModule::Scheduler,
-                            JournalKind::EventRouted,
-                            ev.flow.0,
-                            Journal::ROUTE_DRAM,
-                            0,
-                        );
-                    }
-                    true
+                    routed(probes, true, Journal::ROUTE_DRAM, 0);
                 } else {
                     // Memory-manager backpressure (DRAM bandwidth): park
                     // the event instead of blocking the coalesce FIFO —
                     // otherwise one slow DRAM flow head-of-line blocks
                     // SRAM-resident flows hashed to the same FIFO.
-                    self.pending.push_back((
-                        ev,
-                        cycle + PENDING_RETRY_CYCLES,
-                        parked_at.unwrap_or(cycle),
-                    ));
-                    self.stats.parked += 1;
-                    if let Some(j) = journal {
-                        j.record(
-                            cycle,
-                            JournalModule::Scheduler,
-                            JournalKind::EventRouted,
-                            ev.flow.0,
-                            Journal::ROUTE_PARKED,
-                            1,
-                        );
-                    }
-                    true
+                    self.park(ev, cycle, parked_at);
+                    routed(probes, false, Journal::ROUTE_PARKED, 1);
                 }
             }
             Location::Fpc(i) => {
                 let i = i as usize;
                 if fpcs[i].push_event_at(ev, cycle) {
                     self.stats.routed_fpc += 1;
-                    if let (Some(f), Some(parked)) = (flight, parked_at) {
-                        f.record(FlightStage::PendingWait, ev.flow.0, cycle - parked);
-                    }
-                    if let Some(j) = journal {
-                        j.record(
-                            cycle,
-                            JournalModule::Scheduler,
-                            JournalKind::EventRouted,
-                            ev.flow.0,
-                            Journal::ROUTE_FPC,
-                            i as u64,
-                        );
-                    }
-                    true
-                } else {
-                    // Backpressure: migrate the congested flow to the
-                    // idlest FPC (§4.4.2), park the event meanwhile.
-                    let idlest = fpcs
-                        .iter()
-                        .enumerate()
-                        .filter(|&(j, f)| j != i && f.can_accept_tcb())
-                        .min_by_key(|(_, f)| f.input_backlog() * 1024 + f.flow_count())
-                        .map(|(j, _)| j);
-                    if let Some(j) = idlest {
-                        if self.start_migration(
-                            ev.flow,
-                            i,
-                            MigrationDest::Fpc(j as u8),
-                            fpcs,
-                            cycle,
-                            chk,
-                            journal.as_deref_mut(),
-                        ) {
-                            self.pending.push_back((
-                                ev,
-                                cycle + PENDING_RETRY_CYCLES,
-                                parked_at.unwrap_or(cycle),
-                            ));
-                            self.stats.parked += 1;
-                            if let Some(j) = journal {
-                                j.record(
-                                    cycle,
-                                    JournalModule::Scheduler,
-                                    JournalKind::EventRouted,
-                                    ev.flow.0,
-                                    Journal::ROUTE_PARKED,
-                                    2,
-                                );
-                            }
-                            return true;
-                        }
-                    }
-                    false
+                    routed(probes, true, Journal::ROUTE_FPC, i as u64);
+                    return true;
                 }
+                // Backpressure: migrate the congested flow to the idlest
+                // FPC (§4.4.2), park the event meanwhile.
+                let idlest = fpcs
+                    .iter()
+                    .enumerate()
+                    .filter(|&(j, f)| j != i && f.can_accept_tcb())
+                    .min_by_key(|(_, f)| f.input_backlog() * 1024 + f.flow_count())
+                    .map(|(j, _)| j);
+                let Some(j) = idlest else { return false };
+                let dest = MigrationDest::Fpc(j as u8);
+                if !self.start_migration(ev.flow, i, dest, fpcs, cycle, probes) {
+                    return false;
+                }
+                self.park(ev, cycle, parked_at);
+                routed(probes, false, Journal::ROUTE_PARKED, 2);
             }
         }
+        true
     }
 
     /// Swap-in progress, up to [`Self::SWAP_ACTIONS_PER_CYCLE`] actions
@@ -600,8 +487,7 @@ impl Scheduler {
         fpcs: &mut [Fpc],
         mm: &mut MemoryManager,
         cycle: u64,
-        mut chk: Option<&mut InvariantChecker>,
-        mut journal: Option<&mut Journal>,
+        probes: &mut Probes,
     ) {
         for _ in 0..Self::SWAP_ACTIONS_PER_CYCLE {
             let Some(&flow) = self.swap_in_queue.front() else { return };
@@ -626,26 +512,23 @@ impl Scheduler {
                 .map(|(i, _)| i);
             match target {
                 Some(i) => {
-                    if let Some((tcb, ev)) = mm.take_for_swap_in(flow) {
-                        self.set_location(flow, Location::Moving, cycle, chk.as_deref_mut());
-                        let accepted = fpcs[i].push_tcb(tcb, ev);
-                        debug_assert!(accepted, "can_accept_tcb lied on swap-in");
-                        self.stats.migrations += 1;
-                        if let Some(j) = journal.as_deref_mut() {
-                            j.record(
-                                cycle,
-                                JournalModule::Scheduler,
-                                JournalKind::TcbMigrateStart,
-                                flow.0,
-                                Journal::DRAM_SLOT,
-                                i as u64,
-                            );
-                        }
-                        self.swap_in_queue.pop_front();
-                    } else {
+                    let Some((tcb, ev)) = mm.take_for_swap_in(flow) else {
                         // DRAM bandwidth exhausted: retry next cycle.
                         return;
-                    }
+                    };
+                    self.set_location(flow, Location::Moving, cycle, probes);
+                    let accepted = fpcs[i].push_tcb(tcb, ev);
+                    debug_assert!(accepted, "can_accept_tcb lied on swap-in");
+                    self.stats.migrations += 1;
+                    probes.log(
+                        cycle,
+                        JournalModule::Scheduler,
+                        JournalKind::TcbMigrateStart,
+                        flow.0,
+                        Journal::DRAM_SLOT,
+                        i as u64,
+                    );
+                    self.swap_in_queue.pop_front();
                 }
                 None => {
                     // Every FPC is full: evict cold flows to make room
@@ -664,42 +547,24 @@ impl Scheduler {
                         .min_by_key(|(_, f)| f.input_backlog())
                         .map(|(i, _)| i)
                         .unwrap_or(0);
-                    if let Some(cold) = fpcs[t].coldest_flow() {
-                        self.start_migration(
-                            cold,
-                            t,
-                            MigrationDest::Dram,
-                            fpcs,
-                            cycle,
-                            chk.as_deref_mut(),
-                            journal.as_deref_mut(),
-                        );
-                    } else {
-                        return;
-                    }
+                    let Some(cold) = fpcs[t].coldest_flow() else { return };
+                    self.start_migration(cold, t, MigrationDest::Dram, fpcs, cycle, probes);
                 }
             }
         }
     }
 
-    /// Advances one engine cycle.
-    pub fn tick(&mut self, cycle: u64, fpcs: &mut [Fpc], mm: &mut MemoryManager) {
-        self.tick_checked(cycle, fpcs, mm, None, None, None);
-    }
-
-    /// [`Scheduler::tick`] with an optional FtVerify checker validating
-    /// every location-LUT transition against the migration protocol, an
-    /// optional FtFlight recorder attributing coalesce-FIFO residency and
-    /// pending-queue wait per flow, and an optional FtJournal receiving
-    /// enqueue / merge / route / migrate events.
-    pub fn tick_checked(
+    /// Advances one engine cycle. `probes` carries the engine's checker
+    /// (every location-LUT transition is validated against the migration
+    /// protocol), FtFlight recorder (coalesce-FIFO residency and
+    /// pending-queue wait per flow) and journal (enqueue / merge / route /
+    /// migrate events).
+    pub fn tick(
         &mut self,
         cycle: u64,
         fpcs: &mut [Fpc],
         mm: &mut MemoryManager,
-        mut chk: Option<&mut InvariantChecker>,
-        mut flight: Option<&mut FlightRecorder>,
-        mut journal: Option<&mut Journal>,
+        probes: &mut Probes,
     ) {
         self.lut.begin_cycle();
 
@@ -723,16 +588,8 @@ impl Scheduler {
                         stamps.pop();
                     }
                     self.stats.coalesced += 1;
-                    if let Some(j) = journal.as_deref_mut() {
-                        j.record(
-                            cycle,
-                            JournalModule::Scheduler,
-                            JournalKind::EventMerged,
-                            ev.flow.0,
-                            q as u64,
-                            0,
-                        );
-                    }
+                    let kind = JournalKind::EventMerged;
+                    probes.log(cycle, JournalModule::Scheduler, kind, ev.flow.0, q as u64, 0);
                     continue;
                 }
             }
@@ -750,16 +607,8 @@ impl Scheduler {
                         debug_assert!(ok, "coalesce stamp FIFO out of sync");
                     }
                 }
-                if let Some(j) = journal.as_deref_mut() {
-                    j.record(
-                        cycle,
-                        JournalModule::Scheduler,
-                        JournalKind::EventEnqueued,
-                        ev.flow.0,
-                        q as u64,
-                        0,
-                    );
-                }
+                let kind = JournalKind::EventEnqueued;
+                probes.log(cycle, JournalModule::Scheduler, kind, ev.flow.0, q as u64, 0);
             }
         }
 
@@ -779,22 +628,9 @@ impl Scheduler {
             let mut batch = std::mem::take(&mut self.pending_scratch);
             batch.clear();
             batch.extend(self.pending.drain_front(due));
-            let mut failed_at = None;
-            for (i, &(ev, _, parked_at)) in batch.iter().enumerate() {
-                if !self.route(
-                    ev,
-                    cycle,
-                    Some(parked_at),
-                    fpcs,
-                    mm,
-                    chk.as_deref_mut(),
-                    flight.as_deref_mut(),
-                    journal.as_deref_mut(),
-                ) {
-                    failed_at = Some(i);
-                    break;
-                }
-            }
+            let failed_at = batch.iter().position(|&(ev, _, parked_at)| {
+                !self.route(ev, cycle, Some(parked_at), fpcs, mm, probes)
+            });
             if let Some(i) = failed_at {
                 // Re-park the unrouted tail at the front in order, then
                 // the failed entry ahead of it with a next-cycle retry —
@@ -812,33 +648,16 @@ impl Scheduler {
         //    partitions, §4.4.2).
         for q in 0..self.coalesce.len() {
             let Some(&ev) = self.coalesce[q].front() else { continue };
-            if self.route(
-                ev,
-                cycle,
-                None,
-                fpcs,
-                mm,
-                chk.as_deref_mut(),
-                flight.as_deref_mut(),
-                journal.as_deref_mut(),
-            ) {
+            if self.route(ev, cycle, None, fpcs, mm, probes) {
                 self.coalesce[q].pop();
-                if let Some(cq) = self.coalesce_stamps.as_mut() {
-                    if let Some(stamp) = cq[q].pop() {
-                        if let Some(f) = flight.as_deref_mut() {
-                            f.record(
-                                FlightStage::CoalesceFifo,
-                                ev.flow.0,
-                                cycle.saturating_sub(stamp),
-                            );
-                        }
-                    }
+                if let Some(stamp) = self.coalesce_stamps.as_mut().and_then(|cq| cq[q].pop()) {
+                    probes.span(FlightStage::CoalesceFifo, ev.flow.0, cycle.saturating_sub(stamp));
                 }
             }
         }
 
         // 4. Swap-in progress.
-        self.progress_swap_in(fpcs, mm, cycle, chk, journal);
+        self.progress_swap_in(fpcs, mm, cycle, probes);
 
         self.pending_high = self.pending_high.max(self.pending.len());
     }
@@ -918,13 +737,14 @@ mod tests {
     ) -> (Vec<crate::event::TxRequest>, u64) {
         let mut tx = Vec::new();
         let mut handled = 0;
+        let probes = &mut Probes::default();
         for c in from..from + cycles {
-            sched.tick(c, fpcs, mm);
+            sched.tick(c, fpcs, mm, probes);
             let mut evicted = Vec::new();
             let mut installed = Vec::new();
             for f in fpcs.iter_mut() {
                 let mut out = FpcOutput::default();
-                f.tick(c, c * 4, true, &mut out);
+                f.tick(c, c * 4, true, &mut out, probes);
                 tx.extend(out.tx);
                 evicted.extend(out.evicted);
                 for flow in out.installed {
@@ -936,15 +756,15 @@ mod tests {
                 sched.on_evicted(t, fpcs, mm);
             }
             for (flow, id) in installed {
-                sched.on_installed(flow, id, c, None, None);
+                sched.on_installed(flow, id, c, probes);
             }
             let mut mo = crate::memory_manager::MmOutput::default();
-            mm.tick(&mut mo);
+            mm.tick(&mut mo, c, probes);
             for flow in mo.swap_in_requests {
                 sched.request_swap_in(flow);
             }
             for flow in mo.evict_done {
-                sched.on_evict_done(flow, c, None);
+                sched.on_evict_done(flow, c, probes);
             }
         }
         (tx, handled)
@@ -956,7 +776,7 @@ mod tests {
         let mut fpcs = make_fpcs(2, 8);
         let mut mm = MemoryManager::new(DramKind::Hbm, 16);
         for id in 0..4 {
-            sched.place_new_flow(established(id), &mut fpcs, &mut mm, 0, None);
+            sched.place_new_flow(established(id), &mut fpcs, &mut mm, 0, &mut Probes::default());
             run(&mut sched, &mut fpcs, &mut mm, id as u64 * 10, 10);
         }
         assert_eq!(fpcs[0].flow_count(), 2);
@@ -970,7 +790,7 @@ mod tests {
         let mut fpcs = make_fpcs(1, 2);
         let mut mm = MemoryManager::new(DramKind::Hbm, 16);
         for id in 0..5 {
-            sched.place_new_flow(established(id), &mut fpcs, &mut mm, 0, None);
+            sched.place_new_flow(established(id), &mut fpcs, &mut mm, 0, &mut Probes::default());
             run(&mut sched, &mut fpcs, &mut mm, id as u64 * 10, 10);
         }
         assert_eq!(fpcs[0].flow_count(), 2);
@@ -983,7 +803,7 @@ mod tests {
         let mut sched = Scheduler::new(1024, 4, true);
         let mut fpcs = make_fpcs(2, 8);
         let mut mm = MemoryManager::new(DramKind::Hbm, 16);
-        sched.place_new_flow(established(1), &mut fpcs, &mut mm, 0, None);
+        sched.place_new_flow(established(1), &mut fpcs, &mut mm, 0, &mut Probes::default());
         run(&mut sched, &mut fpcs, &mut mm, 0, 10);
         assert!(sched.push_event(send_event(1, 700)));
         let (tx, _) = run(&mut sched, &mut fpcs, &mut mm, 10, 60);
@@ -996,7 +816,7 @@ mod tests {
         let mut sched = Scheduler::new(1024, 4, true);
         let mut fpcs = make_fpcs(1, 8);
         let mut mm = MemoryManager::new(DramKind::Hbm, 16);
-        sched.place_new_flow(established(1), &mut fpcs, &mut mm, 0, None);
+        sched.place_new_flow(established(1), &mut fpcs, &mut mm, 0, &mut Probes::default());
         // Fill intake BEFORE ticking so events pile into the FIFO.
         for i in 1..=8u32 {
             assert!(sched.push_event(send_event(1, i * 100)));
@@ -1011,7 +831,7 @@ mod tests {
         let mut sched = Scheduler::new(1024, 4, false);
         let mut fpcs = make_fpcs(1, 8);
         let mut mm = MemoryManager::new(DramKind::Hbm, 16);
-        sched.place_new_flow(established(1), &mut fpcs, &mut mm, 0, None);
+        sched.place_new_flow(established(1), &mut fpcs, &mut mm, 0, &mut Probes::default());
         run(&mut sched, &mut fpcs, &mut mm, 0, 10);
         for i in 1..=8u32 {
             sched.push_event(send_event(1, i * 100));
@@ -1028,7 +848,7 @@ mod tests {
         let mut mm = MemoryManager::new(DramKind::Hbm, 16);
         // Fill the FPC, push one flow to DRAM.
         for id in 0..3 {
-            sched.place_new_flow(established(id), &mut fpcs, &mut mm, 0, None);
+            sched.place_new_flow(established(id), &mut fpcs, &mut mm, 0, &mut Probes::default());
             run(&mut sched, &mut fpcs, &mut mm, id as u64 * 10, 10);
         }
         assert_eq!(sched.location(FlowId(2)), Location::Dram);
@@ -1047,10 +867,11 @@ mod tests {
         let mut sched = Scheduler::new(1024, 4, true);
         let mut fpcs = make_fpcs(1, 4);
         let mut mm = MemoryManager::new(DramKind::Hbm, 16);
-        sched.place_new_flow(established(1), &mut fpcs, &mut mm, 0, None);
+        sched.place_new_flow(established(1), &mut fpcs, &mut mm, 0, &mut Probes::default());
         run(&mut sched, &mut fpcs, &mut mm, 0, 10);
         // Force the flow into Moving state via an explicit migration.
-        sched.start_migration(FlowId(1), 0, MigrationDest::Dram, &mut fpcs, 10, None, None);
+        let probes = &mut Probes::default();
+        sched.start_migration(FlowId(1), 0, MigrationDest::Dram, &mut fpcs, 10, probes);
         assert_eq!(sched.location(FlowId(1)), Location::Moving);
         sched.push_event(send_event(1, 300));
         let (tx, _) = run(&mut sched, &mut fpcs, &mut mm, 10, 600);

@@ -290,9 +290,9 @@ fn body_mentions(files: &[SourceFile], idx: &SymbolIndex, f: FnId, word: &str) -
     files[r.file].code[start..=end].iter().any(|l| word_match(l, word))
 }
 
-/// Entry points for the tick-path rules: every `tick`/`tick_checked`,
-/// every `ParallelRunner` method, and every function that lexically
-/// hosts a worker closure (calls `run_rounds`).
+/// Entry points for the tick-path rules: every `tick`, every
+/// `ParallelRunner` method, and every function that lexically hosts a
+/// worker closure (calls `run_rounds`).
 fn tick_entries(files: &[SourceFile], idx: &SymbolIndex) -> Vec<FnId> {
     let mut entries = Vec::new();
     for (id, f) in idx.fns.iter().enumerate() {
@@ -300,7 +300,6 @@ fn tick_entries(files: &[SourceFile], idx: &SymbolIndex) -> Vec<FnId> {
             continue;
         }
         if f.name == "tick"
-            || f.name == "tick_checked"
             || f.impl_type.as_deref() == Some("ParallelRunner")
             || body_mentions(files, idx, id, "run_rounds")
         {

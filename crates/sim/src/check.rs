@@ -21,9 +21,9 @@
 //! * **FIFO conservation** — for every [`Fifo`], `pushed == popped +
 //!   occupancy` (rejected pushes never enter the queue).
 //!
-//! The checker is *optional at runtime*: modules take
-//! `Option<&mut InvariantChecker>` and the disabled path is a single
-//! null-check per call site, so production runs pay nothing. It is enabled
+//! The checker is *optional at runtime*: modules reach it through the
+//! engine's [`Probes`](crate::Probes) bundle and the disabled path is a
+//! single null-check per call site, so production runs pay nothing. It is enabled
 //! via `EngineConfig::check` / `f4tperf --check` and in integration tests.
 
 use crate::fifo::Fifo;
@@ -143,9 +143,9 @@ impl PortTracker {
 
 /// Collects violations reported by the simulated modules.
 ///
-/// Owned by the engine when `EngineConfig::check` is set; modules receive
-/// it as `Option<&mut InvariantChecker>` so the disabled configuration
-/// costs one branch per call site.
+/// Owned by the engine's [`Probes`](crate::Probes) when
+/// `EngineConfig::check` is set, so the disabled configuration costs one
+/// branch per call site.
 #[derive(Debug, Default)]
 pub struct InvariantChecker {
     violations: Vec<Violation>,

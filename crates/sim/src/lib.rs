@@ -30,6 +30,8 @@
 //!   ([`Journal`], [`JournalEvent`]) behind post-mortem black-box dumps.
 //! * [`watchdog`] — FtJournal's online health watchdog ([`Watchdog`]):
 //!   stuck flows, retransmit storms, queue SLOs, starved LUT entries.
+//! * [`probes`] — the [`Probes`] bundle: every optional recorder above
+//!   behind one `&mut` parameter, plus the schedule of the periodic ones.
 //! * [`slab`] — FtTurbo struct-of-arrays slab allocators ([`Slab`],
 //!   [`FlowSlab`], [`SlabQueue`], [`FlowSet`]): the dense, hash-free,
 //!   deterministically-iterable stores behind every tick-path per-flow
@@ -56,6 +58,7 @@ pub mod des;
 pub mod fifo;
 pub mod flight;
 pub mod journal;
+pub mod probes;
 pub mod pulse;
 pub mod rng;
 pub mod slab;
@@ -69,6 +72,7 @@ pub use des::EventQueue;
 pub use fifo::Fifo;
 pub use flight::{FlightRecorder, FlightStage};
 pub use journal::{Journal, JournalEvent, JournalKind, JournalModule};
+pub use probes::{Periodic, Probes};
 pub use pulse::{PulseRecorder, PulseSeries};
 pub use rng::SimRng;
 pub use slab::{FlowSet, FlowSlab, Slab, SlabCursor, SlabHandle, SlabQueue};

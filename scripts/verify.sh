@@ -19,6 +19,9 @@ cargo test -q --release -p f4t --test fastforward_equiv
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> ftbench (separate package: the workspace build never compiles it)"
+cargo test -q --offline --release --manifest-path ftbench/Cargo.toml
+
 echo "==> f4tlint (FtProve design-rule scan, per-pass timings)"
 cargo run --release -q -p f4t-lint --bin f4tlint -- --timings
 cargo run --release -q -p f4t-lint --bin f4tlint -- --format json >/dev/null

@@ -178,6 +178,19 @@ fn run_scenario(case: u64, fast_forward: bool) -> Snapshot {
 }
 
 fn run_scenario_impaired(case: u64, fast_forward: bool, profile: Option<&str>) -> Snapshot {
+    run_scenario_observed(case, fast_forward, profile, true)
+}
+
+/// The bulk/echo/churn schedule of `case`. With `recorders` set, the
+/// checker, FtFlight, FtJournal, watchdog, FtPulse and the trace ring are
+/// all attached; without it the engine runs bare and the snapshot's
+/// recorder fields stay empty.
+fn run_scenario_observed(
+    case: u64,
+    fast_forward: bool,
+    profile: Option<&str>,
+    recorders: bool,
+) -> Snapshot {
     let mut ferries = profile.map(|p| {
         let imp = Impairments::profile(p).expect("known profile");
         [Ferry::new(&imp, 0), Ferry::new(&imp, 1)]
@@ -189,25 +202,25 @@ fn run_scenario_impaired(case: u64, fast_forward: bool, profile: Option<&str>) -
         num_fpcs: 2,
         lut_groups: 2,
         flows_per_fpc: 4,
-        check: true,
+        check: recorders,
         // FtFlight at sample=1 stamps every flow at every stage boundary,
         // so the byte-identity assertion below covers every span path.
-        flight: true,
+        flight: recorders,
         flight_sample: 1,
         // FtJournal at sample=1 records every emission site; the journals
         // of the two runs must be byte-identical (events are emitted only
         // at executed ticks, and fast-forward skips only provably idle
         // windows).
-        journal: true,
+        journal: recorders,
         journal_sample: 1,
         // Watchdog on a short period so many sweeps land inside the run;
         // fast-forward windows must stop at every sweep boundary.
-        watchdog: true,
+        watchdog: recorders,
         watchdog_interval: 4_096,
         // FtPulse on a short interval so many windows land inside the
         // run; fast-forward must stop at every sample boundary, and the
         // recorded series must be byte-identical across modes.
-        pulse: true,
+        pulse: recorders,
         pulse_interval: 1_024,
         pulse_flow_sample: 1,
         fast_forward,
@@ -215,8 +228,10 @@ fn run_scenario_impaired(case: u64, fast_forward: bool, profile: Option<&str>) -
     };
     let mut a = Engine::new(cfg.clone());
     let mut b = Engine::new(cfg);
-    a.set_trace_capacity(2048);
-    b.set_trace_capacity(2048);
+    if recorders {
+        a.set_trace_capacity(2048);
+        b.set_trace_capacity(2048);
+    }
     let tuple_for = |port: u16| {
         FourTuple::new(Ipv4Addr::new(10, 0, 0, 1), port, Ipv4Addr::new(10, 0, 0, 2), 80)
     };
@@ -305,22 +320,30 @@ fn run_scenario_impaired(case: u64, fast_forward: bool, profile: Option<&str>) -
         tcbs,
         telemetry: [filtered_telemetry(&a), filtered_telemetry(&b)],
         traces: [a.export_chrome_trace(), b.export_chrome_trace()],
-        flights: [a.flight_json().unwrap(), b.flight_json().unwrap()],
-        flight_spans: a.flight().unwrap().spans_recorded()
-            + b.flight().unwrap().spans_recorded(),
+        flights: [a.flight_json().unwrap_or_default(), b.flight_json().unwrap_or_default()],
+        flight_spans: [&a, &b].iter().filter_map(|e| e.flight()).map(|f| f.spans_recorded()).sum(),
         journals: [
-            a.journal().unwrap().lines().collect(),
-            b.journal().unwrap().lines().collect(),
+            a.journal().map(|j| j.lines().collect()).unwrap_or_default(),
+            b.journal().map(|j| j.lines().collect()).unwrap_or_default(),
         ],
         journal_digests: [a.journal_digest(), b.journal_digest()],
-        journal_events: a.journal().unwrap().events_recorded()
-            + b.journal().unwrap().events_recorded(),
-        pulses: [a.pulse_json().unwrap(), b.pulse_json().unwrap()],
+        journal_events: [&a, &b]
+            .iter()
+            .filter_map(|e| e.journal())
+            .map(|j| j.events_recorded())
+            .sum(),
+        pulses: [a.pulse_json().unwrap_or_default(), b.pulse_json().unwrap_or_default()],
         pulse_digests: [a.pulse_digest(), b.pulse_digest()],
-        pulse_windows: a.pulse().unwrap().windows_recorded()
-            + b.pulse().unwrap().windows_recorded(),
-        watchdog_observations: a.watchdog().unwrap().observations()
-            + b.watchdog().unwrap().observations(),
+        pulse_windows: [&a, &b]
+            .iter()
+            .filter_map(|e| e.pulse())
+            .map(|p| p.windows_recorded())
+            .sum(),
+        watchdog_observations: [&a, &b]
+            .iter()
+            .filter_map(|e| e.watchdog())
+            .map(|w| w.observations())
+            .sum(),
         alarms: a.watchdog_alarm_count() + b.watchdog_alarm_count(),
         skipped: a.fastforward_skipped_cycles() + b.fastforward_skipped_cycles(),
         windows: a.fastforward_windows() + b.fastforward_windows(),
@@ -488,6 +511,58 @@ fn fast_forward_is_bit_identical_under_impairments() {
             ff.skipped,
             ff.windows
         );
+    }
+}
+
+/// Telemetry with every observer family removed: fast-forward counters
+/// and the trace ring, checker, FtFlight, FtJournal, FtPulse and watchdog
+/// metrics. What remains is what the modelled hardware did.
+fn model_telemetry(snapshot: &str) -> Vec<String> {
+    const OBSERVERS: [&str; 7] =
+        ["fastforward", "trace", "check", "flight", "journal", "pulse", "watchdog"];
+    snapshot
+        .lines()
+        .filter(|l| {
+            let name = l.trim_start().trim_start_matches('"').split('"').next().unwrap_or("");
+            !name.split('.').nth(1).is_some_and(|family| OBSERVERS.contains(&family))
+        })
+        // Which line ends the JSON object (and so lacks a comma) depends
+        // on which families were present.
+        .map(|l| l.trim_end_matches(',').to_string())
+        .collect()
+}
+
+/// The recorders are observation-only: attaching the checker, FtFlight,
+/// FtJournal, the watchdog, FtPulse and the trace ring must not change
+/// anything the engine does. Over the clean link and every impairment
+/// profile, fast-forwarded and tick by tick, a recorders-off run must
+/// put the same segments on the wire, end in the same TCBs and report the
+/// same model telemetry as the recorders-on run.
+#[test]
+fn recorders_are_observation_only() {
+    let profiles = ["clean", "reorder", "burst-loss", "duplicate", "jitter", "lossy"];
+    for case in 0..3u64 {
+        for profile in profiles.map(|p| (p != "clean").then_some(p)) {
+            for fast_forward in [true, false] {
+                let on = run_scenario_observed(case, fast_forward, profile, true);
+                let off = run_scenario_observed(case, fast_forward, profile, false);
+                let what = |x: &str| format!("{x} ({profile:?}, fast_forward {fast_forward})");
+                assert_same_lines(case, &what("wire trace"), &on.wire, &off.wire);
+                assert_same_lines(case, &what("final TCBs"), &on.tcbs, &off.tcbs);
+                for side in 0..2 {
+                    assert_same_lines(
+                        case,
+                        &what("model telemetry"),
+                        &model_telemetry(&on.telemetry[side]),
+                        &model_telemetry(&off.telemetry[side]),
+                    );
+                }
+                // The off run really ran bare, and the on run really
+                // observed.
+                assert_eq!(off.journal_events + off.flight_spans + off.pulse_windows, 0);
+                assert!(on.journal_events > 0 && on.flight_spans > 0 && on.pulse_windows > 0);
+            }
+        }
     }
 }
 
