@@ -12,12 +12,16 @@
 //! ```
 
 use f4t_core::fpc::ScanPolicy;
-use f4t_core::{fold_digests, Engine, EngineConfig, EventKind, ParallelRunner, RENDEZVOUS_QUANTUM};
+use f4t_core::{fold_digests, run_shards, Engine, EngineConfig, EventKind};
 use f4t_mem::{DramKind, Location};
 use f4t_netsim::Impairments;
+use f4t_sim::MetricsRegistry;
 use f4t_system::F4tSystem;
-use f4t_tcp::{CcAlgorithm, FlowId};
+use f4t_tcp::pcap::PcapWriter;
+use f4t_tcp::{CcAlgorithm, FlowId, FourTuple, MacAddr, Segment, SeqNum, TCP_BUFFER};
 use f4t_workloads::{INCAST_EPOCH_NS, SLOWLORIS_DRIP_BYTES};
+use std::net::Ipv4Addr;
+use std::ops::Range;
 
 /// Process exit codes (also in `--help`): `0` success, `1` FtVerify
 /// design-rule violations, `2` usage or I/O error, `3` perf-gate
@@ -174,8 +178,8 @@ USAGE: f4tperf [OPTIONS]
   --flows <N>                      total flows (echo/http; rr uses 16/core;
                                    scale defaults to 65536)
   --threads <N>                    scale workload: shard the flows across N
-                                   independent engines on N worker threads
-                                   with a deterministic rendezvous barrier;
+                                   independent engines, each run to
+                                   completion on its own worker thread;
                                    merged digests are thread-count
                                    independent                [1]
   --dram <hbm|ddr4>                on-board memory         [hbm]
@@ -461,9 +465,6 @@ fn main() {
     };
 
     if args.workload == "scale" {
-        if args.threads > 1 {
-            run_scale_sharded(&args, engine);
-        }
         run_scale(&args, engine);
     }
 
@@ -513,24 +514,7 @@ fn main() {
     if let Some(kind) = &args.inject_fault {
         inject_fault(&mut sys.a.engine, kind);
     }
-    if args.inject_slowdown > 0 {
-        match args.inject_slowdown_after {
-            Some(w) => {
-                sys.a.engine.set_flight_bias_after(w, args.inject_slowdown);
-                println!(
-                    "  slowdown armed     {} cycles per flight span after pulse window {w}",
-                    args.inject_slowdown
-                );
-            }
-            None => {
-                sys.a.engine.set_flight_bias(args.inject_slowdown);
-                println!(
-                    "  slowdown injected  {} cycles per flight span",
-                    args.inject_slowdown
-                );
-            }
-        }
-    }
+    arm_slowdown(&args, [&mut sys.a.engine]);
     if args.pcap.is_some() {
         sys.enable_pcap(96);
     }
@@ -540,20 +524,7 @@ fn main() {
     let sa = sys.a.engine.stats();
 
     if let Some(path) = &args.telemetry {
-        let text = match args.telemetry_format {
-            TelemetryFormat::Json => m.telemetry.to_json(),
-            TelemetryFormat::Prometheus => m.telemetry.to_prometheus(),
-        };
-        if let Err(e) = std::fs::write(path, text) {
-            eprintln!("error: writing {path}: {e}");
-            std::process::exit(EXIT_USAGE);
-        }
-        let trace_path = format!("{}.trace.json", path.trim_end_matches(".json"));
-        if let Err(e) = std::fs::write(&trace_path, sys.a.engine.export_chrome_trace()) {
-            eprintln!("error: writing {trace_path}: {e}");
-            std::process::exit(EXIT_USAGE);
-        }
-        println!("  telemetry → {path}, trace → {trace_path}");
+        write_telemetry(path, &export(&args, &m.telemetry), &sys.a.engine.export_chrome_trace());
     }
 
     println!();
@@ -599,10 +570,7 @@ fn main() {
         let packets = sys.pcap_packets();
         match sys.take_pcap() {
             Some(bytes) => {
-                if let Err(e) = std::fs::write(path, bytes) {
-                    eprintln!("error: writing {path}: {e}");
-                    std::process::exit(EXIT_USAGE);
-                }
+                write_or_exit(path, bytes);
                 println!("  pcap               {packets:>10} segments → {path}");
             }
             None => {
@@ -612,49 +580,131 @@ fn main() {
         }
     }
 
-    if let Some(j) = sys.a.engine.journal() {
+    // Pulse series + breakdown + gates run after the health report so an
+    // FtVerify failure (exit 1) wins over a perf regression (exit 3) when
+    // both fire. The pulse document is written before either gate can
+    // exit so the artifact survives a flight-gate failure.
+    let engines = [("a", &sys.a.engine), ("b", &sys.b.engine)];
+    report_health(&args, &engines);
+    let pulse_doc = finish_pulse(&args, &engines);
+    finish_flight(&args, &sys.a.engine);
+    run_pulse_gate(&args, pulse_doc.as_deref(), &sys.a.engine);
+}
+
+/// Writes `contents` to `path`, or exits 2 naming the path.
+fn write_or_exit(path: &str, contents: impl AsRef<[u8]>) {
+    if let Err(err) = std::fs::write(path, contents) {
+        eprintln!("error: writing {path}: {err}");
+        std::process::exit(EXIT_USAGE);
+    }
+}
+
+/// Renders a metrics registry in the `--telemetry-format`.
+fn export(args: &Args, reg: &MetricsRegistry) -> String {
+    match args.telemetry_format {
+        TelemetryFormat::Json => reg.to_json(),
+        TelemetryFormat::Prometheus => reg.to_prometheus(),
+    }
+}
+
+/// Writes the `--telemetry` document to `path` and the Chrome trace to
+/// `path` with a `.trace.json` suffix.
+fn write_telemetry(path: &str, text: &str, trace: &str) {
+    write_or_exit(path, text);
+    let trace_path = format!("{}.trace.json", path.trim_end_matches(".json"));
+    write_or_exit(&trace_path, trace);
+    println!("  telemetry → {path}, trace → {trace_path}");
+}
+
+/// Applies `--inject-slowdown` (deferred by `--inject-slowdown-after`)
+/// to every engine and says so once.
+fn arm_slowdown<'a>(args: &Args, engines: impl IntoIterator<Item = &'a mut Engine>) {
+    if args.inject_slowdown == 0 {
+        return;
+    }
+    for e in engines {
+        match args.inject_slowdown_after {
+            Some(w) => e.set_flight_bias_after(w, args.inject_slowdown),
+            None => e.set_flight_bias(args.inject_slowdown),
+        }
+    }
+    match args.inject_slowdown_after {
+        Some(w) => println!(
+            "  slowdown armed     {} cycles per flight span after pulse window {w}",
+            args.inject_slowdown
+        ),
+        None => println!("  slowdown injected  {} cycles per flight span", args.inject_slowdown),
+    }
+}
+
+/// Reports the health recorders of a finished run over its labelled
+/// engines, in fixed order: the journal digest (merged when several
+/// engines journal), the FtVerify summaries and the watchdog alarms. On
+/// any violation or alarm it writes the black-box dump of the first
+/// engine that fired and exits 1.
+fn report_health(args: &Args, engines: &[(&str, &Engine)]) {
+    let journals: Vec<&f4t_sim::Journal> =
+        engines.iter().filter_map(|(_, e)| e.journal()).collect();
+    if let [j] = journals[..] {
         println!(
             "  journal            {:>10} events recorded / digest {:016x} (1/{} sampling)",
             j.events_recorded(),
             j.digest(),
             j.sample_n()
         );
+    } else if let [first, ..] = journals[..] {
+        let events: u64 = journals.iter().map(|j| j.events_recorded()).sum();
+        let digest = fold_digests(journals.iter().map(|j| j.digest()));
+        println!(
+            "  journal            {events:>10} events recorded / merged digest {digest:016x} (1/{} sampling, {} engines)",
+            first.sample_n(),
+            journals.len()
+        );
     }
     if args.check {
-        let violations =
-            sys.a.engine.check_total_violations() + sys.b.engine.check_total_violations();
-        for (side, e) in [("a", &sys.a.engine), ("b", &sys.b.engine)] {
+        for (label, e) in engines {
             if let Some(summary) = e.check_summary() {
-                println!("  ftverify[{side}]        {summary}");
+                let name =
+                    if engines.len() == 1 { "ftverify".to_owned() } else { format!("ftverify[{label}]") };
+                println!("  {name:<19}{summary}");
             }
         }
-        if violations > 0 {
-            write_dump(&args, &sys.a.engine, "invariant-violation");
-            eprintln!("error: FtVerify found {violations} design-rule violation(s)");
-            std::process::exit(EXIT_VIOLATIONS);
+    }
+    exit_if_fired(args, engines, Engine::check_total_violations, "invariant-violation", |n| {
+        format!("FtVerify found {n} design-rule violation(s)")
+    });
+    for (_, e) in engines {
+        for a in e.watchdog().map(|w| w.alarms()).unwrap_or_default() {
+            eprintln!("  watchdog alarm     {}", a.line());
         }
     }
-    let alarms = sys.a.engine.watchdog_alarm_count() + sys.b.engine.watchdog_alarm_count();
-    if alarms > 0 {
-        for e in [&sys.a.engine, &sys.b.engine] {
-            if let Some(w) = e.watchdog() {
-                for a in w.alarms() {
-                    eprintln!("  watchdog alarm     {}", a.line());
-                }
-            }
-        }
-        write_dump(&args, &sys.a.engine, "watchdog-alarm");
-        eprintln!("error: watchdog raised {alarms} alarm(s)");
-        std::process::exit(EXIT_VIOLATIONS);
-    }
+    exit_if_fired(args, engines, Engine::watchdog_alarm_count, "watchdog-alarm", |n| {
+        format!("watchdog raised {n} alarm(s)")
+    });
+}
 
-    // Pulse series + breakdown + gates run last so an FtVerify failure
-    // (exit 1) wins over a perf regression (exit 3) when both fire. The
-    // pulse document is written before either gate can exit so the
-    // artifact survives a flight-gate failure.
-    let pulse_doc = finish_pulse(&args, &[("a", &sys.a.engine), ("b", &sys.b.engine)]);
-    finish_flight(&args, &sys.a.engine);
-    run_pulse_gate(&args, pulse_doc.as_deref(), &sys.a.engine);
+/// The first engine, in list order, whose `count` of failures is
+/// non-zero: the one a black-box dump describes.
+fn first_fired<'a>(
+    engines: &[(&'a str, &'a Engine)],
+    count: fn(&Engine) -> u64,
+) -> Option<(&'a str, &'a Engine)> {
+    engines.iter().copied().find(|&(_, e)| count(e) > 0)
+}
+
+/// Exits 1 when any engine's `count` is non-zero, after dumping the
+/// first engine that fired and printing `error` with the total.
+fn exit_if_fired(
+    args: &Args,
+    engines: &[(&str, &Engine)],
+    count: fn(&Engine) -> u64,
+    reason: &str,
+    error: impl Fn(u64) -> String,
+) {
+    let Some((_, e)) = first_fired(engines, count) else { return };
+    write_dump(args, e, reason);
+    eprintln!("error: {}", error(engines.iter().map(|&(_, e)| count(e)).sum()));
+    std::process::exit(EXIT_VIOLATIONS);
 }
 
 /// Writes the FtJournal black-box dump to the `--dump-on-failure` path
@@ -692,10 +742,7 @@ fn finish_flight(args: &Args, e: &Engine) {
         flight_json
     );
     if let Some(path) = &args.breakdown_json {
-        if let Err(err) = std::fs::write(path, &breakdown) {
-            eprintln!("error: writing {path}: {err}");
-            std::process::exit(EXIT_USAGE);
-        }
+        write_or_exit(path, &breakdown);
         println!("  breakdown          → {path}");
     }
     if let Some(baseline) = &args.gate {
@@ -747,10 +794,7 @@ fn finish_pulse(args: &Args, engines: &[(&str, &Engine)]) -> Option<String> {
         f4t_sim::PulseRecorder::aggregate_json(&recorders).trim_end()
     );
     if let Some(path) = &args.pulse_json {
-        if let Err(err) = std::fs::write(path, &doc) {
-            eprintln!("error: writing {path}: {err}");
-            std::process::exit(EXIT_USAGE);
-        }
+        write_or_exit(path, &doc);
         println!("  pulse series       → {path}");
     }
     Some(doc)
@@ -879,6 +923,145 @@ fn inject_fault(e: &mut Engine, kind: &str) {
     println!("  fault injected     {kind} on {flow}");
 }
 
+/// Engine cycles the `scale` peer lets pass between ACK rounds.
+const SCALE_PUMP_CYCLES: u64 = 64;
+/// `scale` peer rounds between completion checks.
+const SCALE_PUMPS_PER_CHECK: usize = 256;
+/// Flows per source address in [`scale_tuple`].
+const SCALE_PORTS: usize = 32_768;
+/// Capture cap, matching the system-workload pcap path.
+const PCAP_MAX_PACKETS: u64 = 10_000;
+/// MAC synthesized for the ideal peer (it has no engine of its own).
+const PEER_MAC: MacAddr = MacAddr([0x02, 0xf4, 0x74, 0x00, 0x00, 0xee]);
+
+/// The 4-tuple of `scale` flow `i`.
+fn scale_tuple(i: usize) -> FourTuple {
+    let ip = Ipv4Addr::new(10, 0, (i / SCALE_PORTS) as u8, 1);
+    FourTuple::new(ip, 1024 + (i % SCALE_PORTS) as u16, Ipv4Addr::new(10, 0, 0, 2), 80)
+}
+
+/// Inverse of [`scale_tuple`] for a segment the engine sent.
+fn scale_index(t: &FourTuple) -> usize {
+    usize::from(t.src_ip.octets()[2]) * SCALE_PORTS + usize::from(t.src_port - 1024)
+}
+
+/// One `scale` shard: an engine holding a contiguous range of the flows,
+/// and the ideal peer that ACKs them.
+struct ScaleShard {
+    engine: Engine,
+    /// Index of this shard's first flow in the whole flow range.
+    first: usize,
+    flows: Vec<FlowId>,
+    target: SeqNum,
+    /// Highest sequence owed a cumulative ACK, per flow.
+    owed: Vec<Option<SeqNum>>,
+    /// Flows with an ACK owed (exactly those with `owed` set).
+    dirty: Vec<usize>,
+    pcap: Option<PcapWriter<Vec<u8>>>,
+    completed: bool,
+    active_cycles: u64,
+}
+
+impl ScaleShard {
+    /// Opens flows `range` on a fresh engine (exits 2 if its flow table
+    /// fills).
+    fn new(args: &Args, cfg: &EngineConfig, range: Range<usize>) -> ScaleShard {
+        let mut engine = Engine::new(EngineConfig { max_flows: range.len(), ..cfg.clone() });
+        if args.telemetry.is_some() {
+            engine.set_trace_capacity(args.trace_depth);
+        }
+        let mut flows = Vec::with_capacity(range.len());
+        for i in range.clone() {
+            let Some(f) = engine.open_established(scale_tuple(i), SeqNum::ZERO) else {
+                eprintln!("error: flow table full at {} flows", flows.len());
+                std::process::exit(EXIT_USAGE);
+            };
+            flows.push(f);
+        }
+        ScaleShard {
+            engine,
+            first: range.start,
+            flows,
+            target: SeqNum::ZERO.add(args.size),
+            owed: vec![None; range.len()],
+            dirty: Vec::new(),
+            pcap: if args.pcap.is_some() { PcapWriter::new(Vec::new(), 96).ok() } else { None },
+            completed: false,
+            active_cycles: 0,
+        }
+    }
+
+    /// Runs the shard to completion: issues every flow's send (pumping
+    /// the peer whenever the engine refuses one), pumps until every flow
+    /// is ACKed or the cycle budget runs out, then idles for `tail`
+    /// cycles, the regime where fast-forward dominates.
+    fn run(&mut self, tail: u64) {
+        let budget = self.flows.len() as u64 * 20_000 + 10_000_000;
+        let mut issued = 0;
+        while issued < self.flows.len() && self.engine.cycles() < budget {
+            if self.engine.push_host(self.flows[issued], EventKind::SendReq { req: self.target }) {
+                issued += 1;
+            } else {
+                self.pump();
+            }
+        }
+        while self.engine.cycles() < budget && !self.completed {
+            for _ in 0..SCALE_PUMPS_PER_CHECK {
+                self.pump();
+            }
+            let (e, target) = (&self.engine, self.target);
+            self.completed =
+                self.flows.iter().all(|&f| e.peek_tcb(f).is_some_and(|t| t.snd_una == target));
+        }
+        self.active_cycles = self.engine.cycles();
+        self.engine.run(tail);
+    }
+
+    /// One peer round: run the engine, capture and harvest its TX, send
+    /// the cumulative ACKs owed in ascending flow order, and drop the
+    /// host notifications.
+    fn pump(&mut self) {
+        let e = &mut self.engine;
+        e.run(SCALE_PUMP_CYCLES);
+        while let Some(seg) = e.pop_tx() {
+            if let Some(w) = &mut self.pcap {
+                if w.packets() < PCAP_MAX_PACKETS {
+                    let _ = w.record(e.now_ns(), &seg, e.mac, PEER_MAC);
+                }
+            }
+            if seg.has_payload() {
+                let i = scale_index(&seg.tuple) - self.first;
+                let end = seg.seq_end();
+                match self.owed[i] {
+                    Some(h) => self.owed[i] = Some(h.max_seq(end)),
+                    None => {
+                        self.owed[i] = Some(end);
+                        self.dirty.push(i);
+                    }
+                }
+            }
+        }
+        self.dirty.sort_unstable();
+        let (owed, first) = (&mut self.owed, self.first);
+        self.dirty.retain(|&i| {
+            let Some(h) = owed[i] else { return false };
+            let ack = Segment::pure_ack(scale_tuple(first + i).reversed(), SeqNum::ZERO, h, TCP_BUFFER);
+            let pushed = e.push_rx(ack);
+            if pushed {
+                owed[i] = None;
+            }
+            !pushed
+        });
+        while e.pop_notification().is_some() {}
+    }
+}
+
+/// Runs every shard to completion on `threads` workers. It does nothing
+/// else, so the worker-reachability lint rules see only shard code.
+fn drive_shards(shards: &mut [ScaleShard], threads: usize, tail: u64) {
+    run_shards(shards, threads, |sh| sh.run(tail));
+}
+
 /// The `scale` workload: `--flows` connections against an ideal peer
 /// (cumulative ACKs synthesized by the harness), driven through
 /// `Engine::run` so the fast-forward core engages. Each flow sends
@@ -886,159 +1069,94 @@ fn inject_fault(e: &mut Engine, kind: &str) {
 /// engine idles for `--duration-ms` of simulated time, the regime where
 /// skipping dominates. This is the figure harness behind
 /// `results/fastforward_baseline.json`.
-fn run_scale(args: &Args, mut cfg: EngineConfig) -> ! {
-    use f4t_tcp::pcap::PcapWriter;
-    use f4t_tcp::{FourTuple, MacAddr, Segment, SeqNum, TCP_BUFFER};
-    use std::collections::HashMap;
-    use std::net::Ipv4Addr;
-
-    /// Capture cap, matching the system-workload pcap path.
-    const PCAP_MAX_PACKETS: u64 = 10_000;
-    /// MAC synthesized for the ideal peer (it has no engine of its own).
-    const PEER_MAC: MacAddr = MacAddr([0x02, 0xf4, 0x74, 0x00, 0x00, 0xee]);
-
+///
+/// `--threads N` splits the flows into N contiguous shards, each with
+/// its own engine and peer, run to completion on its own worker
+/// (FtTurbo). Every shard runs the same loop as the single engine, and
+/// merged artifacts are folded in fixed shard order, so the pool size
+/// changes wall-clock only, never output.
+fn run_scale(args: &Args, cfg: EngineConfig) -> ! {
     let total_flows = if args.flows == 0 { 65_536 } else { args.flows };
-    cfg.max_flows = total_flows;
-    let mut e = Engine::new(cfg);
-    if args.telemetry.is_some() {
-        e.set_trace_capacity(args.trace_depth);
+    // More shards than flows would create empty engines; shard count is
+    // part of the workload's identity, so cap it explicitly and say so.
+    let shard_count = args.threads.min(total_flows).max(1);
+    if shard_count != args.threads {
+        println!("  threads capped     {} → {shard_count} (one shard per flow max)", args.threads);
     }
-    let isn = SeqNum(0);
-    let target = isn.add(args.size);
-    let tuple_for = |i: usize| {
-        let ip = Ipv4Addr::new(10, 0, (i / 32_768) as u8, 1);
-        FourTuple::new(ip, 1024 + (i % 32_768) as u16, Ipv4Addr::new(10, 0, 0, 2), 80)
-    };
-
     let started = std::time::Instant::now();
-    let mut flows = Vec::with_capacity(total_flows);
-    let mut by_tuple = HashMap::with_capacity(total_flows);
-    for i in 0..total_flows {
-        let t = tuple_for(i);
-        let Some(f) = e.open_established(t, isn) else {
-            eprintln!("error: flow table full at {i} flows");
-            std::process::exit(EXIT_USAGE);
-        };
-        by_tuple.insert(t, i);
-        flows.push(f);
-    }
+    let mut shards: Vec<ScaleShard> = (0..shard_count)
+        .map(|s| {
+            let range = total_flows * s / shard_count..total_flows * (s + 1) / shard_count;
+            ScaleShard::new(args, &cfg, range)
+        })
+        .collect();
     if let Some(kind) = &args.inject_fault {
-        inject_fault(&mut e, kind);
+        inject_fault(&mut shards[0].engine, kind);
     }
-    if args.inject_slowdown > 0 {
-        match args.inject_slowdown_after {
-            Some(w) => {
-                e.set_flight_bias_after(w, args.inject_slowdown);
-                println!(
-                    "  slowdown armed     {} cycles per flight span after pulse window {w}",
-                    args.inject_slowdown
-                );
-            }
-            None => {
-                e.set_flight_bias(args.inject_slowdown);
-                println!(
-                    "  slowdown injected  {} cycles per flight span",
-                    args.inject_slowdown
-                );
-            }
-        }
-    }
-    let mut pcap: Option<PcapWriter<Vec<u8>>> =
-        if args.pcap.is_some() { PcapWriter::new(Vec::new(), 96).ok() } else { None };
-
-    let mut pending_ack: Vec<Option<SeqNum>> = vec![None; total_flows];
-    let pump = |e: &mut Engine,
-                pending_ack: &mut Vec<Option<SeqNum>>,
-                pcap: &mut Option<PcapWriter<Vec<u8>>>| {
-        e.run(64);
-        while let Some(seg) = e.pop_tx() {
-            if let Some(w) = pcap {
-                if w.packets() < PCAP_MAX_PACKETS {
-                    let _ = w.record(e.now_ns(), &seg, e.mac, PEER_MAC);
-                }
-            }
-            if seg.has_payload() {
-                let i = by_tuple[&seg.tuple];
-                let end = seg.seq_end();
-                pending_ack[i] = Some(match pending_ack[i] {
-                    Some(h) => h.max_seq(end),
-                    None => end,
-                });
-            }
-        }
-        for (i, slot) in pending_ack.iter_mut().enumerate() {
-            let Some(h) = *slot else { continue };
-            if e.push_rx(Segment::pure_ack(tuple_for(i).reversed(), isn, h, TCP_BUFFER)) {
-                *slot = None;
-            }
-        }
-        while e.pop_notification().is_some() {}
-    };
-
-    let budget = total_flows as u64 * 20_000 + 10_000_000;
-    let mut issued = 0;
-    while issued < total_flows && e.cycles() < budget {
-        if e.push_host(flows[issued], EventKind::SendReq { req: target }) {
-            issued += 1;
-        } else {
-            pump(&mut e, &mut pending_ack, &mut pcap);
-        }
-    }
-    let mut completed = false;
-    while e.cycles() < budget && !completed {
-        for _ in 0..256 {
-            pump(&mut e, &mut pending_ack, &mut pcap);
-        }
-        completed = flows.iter().all(|&f| e.peek_tcb(f).is_some_and(|t| t.snd_una == target));
-    }
-    let active_cycles = e.cycles();
+    arm_slowdown(args, shards.iter_mut().map(|sh| &mut sh.engine));
     // Post-completion idle tail: --duration-ms of simulated time at the
     // 250 MHz engine clock (250_000 cycles per millisecond).
-    e.run(args.duration_ms * 250_000);
+    drive_shards(&mut shards, args.threads, args.duration_ms * 250_000);
     let wall = started.elapsed();
 
-    let stats = e.stats();
-    let skipped = e.fastforward_skipped_cycles();
-    let executed = e.cycles() - skipped;
+    // Everything below runs on one thread, walking shards in fixed
+    // order — the merge side of the determinism contract.
+    let completed = shards.iter().all(|s| s.completed);
+    let sum = |f: fn(&ScaleShard) -> u64| -> u64 { shards.iter().map(f).sum() };
+    let cycles = sum(|s| s.engine.cycles());
+    let active = sum(|s| s.active_cycles);
+    let skipped = sum(|s| s.engine.fastforward_skipped_cycles());
+    let windows = sum(|s| s.engine.fastforward_windows());
+    let executed = cycles - skipped;
+    let sharded = shard_count > 1;
     println!("f4tperf: {args:?}");
     println!();
-    println!("  flows              {total_flows:>10} ({})", if completed { "all completed" } else { "INCOMPLETE" });
-    println!("  cycles simulated   {:>10} ({} active + idle tail)", e.cycles(), active_cycles);
+    println!(
+        "  flows              {total_flows:>10}{} ({})",
+        if sharded { format!(" in {shard_count} shards") } else { String::new() },
+        if completed { "all completed" } else { "INCOMPLETE" }
+    );
+    if sharded {
+        for (s, sh) in shards.iter().enumerate() {
+            println!(
+                "  shard {s:<12} {:>10} flows / {} cycles / {}",
+                sh.flows.len(),
+                sh.engine.cycles(),
+                if sh.completed { "completed" } else { "incomplete" }
+            );
+        }
+    }
+    let (summed, tails) = if sharded { (" summed", "s") } else { ("", "") };
+    println!("  cycles simulated   {cycles:>10}{summed} ({active} active + idle tail{tails})");
     println!("  ticks executed     {executed:>10}");
-    println!("  ff skipped         {skipped:>10} cycles in {} windows", e.fastforward_windows());
-    println!("  tick reduction     {:>10.1}x", e.cycles() as f64 / executed.max(1) as f64);
+    println!("  ff skipped         {skipped:>10} cycles in {windows} windows");
+    println!("  tick reduction     {:>10.1}x", cycles as f64 / executed.max(1) as f64);
     println!("  wall time          {:>10.0} ms", wall.as_secs_f64() * 1e3);
-    println!("  TCB migrations     {:>10}", stats.migrations);
-    println!("  DRAM events        {:>10}", stats.dram_events);
+    println!("  TCB migrations     {:>10}", sum(|s| s.engine.stats().migrations));
+    println!("  DRAM events        {:>10}", sum(|s| s.engine.stats().dram_events));
 
     if let Some(path) = &args.telemetry {
-        let text = match args.telemetry_format {
-            TelemetryFormat::Json => e.telemetry().to_json(),
-            TelemetryFormat::Prometheus => e.telemetry().to_prometheus(),
-        };
-        if let Err(err) = std::fs::write(path, text) {
-            eprintln!("error: writing {path}: {err}");
-            std::process::exit(EXIT_USAGE);
+        if let [sh] = &shards[..] {
+            write_telemetry(path, &export(args, &sh.engine.telemetry()), &sh.engine.export_chrome_trace());
+        } else {
+            let parts: Vec<String> = shards.iter().map(|s| s.engine.telemetry().to_json()).collect();
+            let traces: Vec<String> = shards.iter().map(|s| s.engine.export_chrome_trace()).collect();
+            write_telemetry(
+                path,
+                &format!("{{\"shards\": [{}]}}", parts.join(", ")),
+                &format!("{{\"shards\": [{}]}}", traces.join(", ")),
+            );
         }
-        let trace_path = format!("{}.trace.json", path.trim_end_matches(".json"));
-        if let Err(err) = std::fs::write(&trace_path, e.export_chrome_trace()) {
-            eprintln!("error: writing {trace_path}: {err}");
-            std::process::exit(EXIT_USAGE);
-        }
-        println!("  telemetry → {path}, trace → {trace_path}");
     }
     if let Some(path) = &args.pcap {
-        let Some(w) = pcap else {
+        let Some(w) = shards[0].pcap.take() else {
             eprintln!("error: pcap capture failed");
             std::process::exit(EXIT_USAGE);
         };
         let packets = w.packets();
         match w.finish() {
             Ok(bytes) => {
-                if let Err(err) = std::fs::write(path, bytes) {
-                    eprintln!("error: writing {path}: {err}");
-                    std::process::exit(EXIT_USAGE);
-                }
+                write_or_exit(path, bytes);
                 println!("  pcap               {packets:>10} segments → {path}");
             }
             Err(err) => {
@@ -1047,316 +1165,26 @@ fn run_scale(args: &Args, mut cfg: EngineConfig) -> ! {
             }
         }
     }
-    if let Some(j) = e.journal() {
-        println!(
-            "  journal            {:>10} events recorded / digest {:016x} (1/{} sampling)",
-            j.events_recorded(),
-            j.digest(),
-            j.sample_n()
-        );
-    }
-    if args.check {
-        if let Some(summary) = e.check_summary() {
-            println!("  ftverify           {summary}");
-        }
-        if e.check_total_violations() > 0 {
-            write_dump(args, &e, "invariant-violation");
-            eprintln!(
-                "error: FtVerify found {} design-rule violation(s)",
-                e.check_total_violations()
-            );
-            std::process::exit(EXIT_VIOLATIONS);
-        }
-    }
-    if e.watchdog_alarm_count() > 0 {
-        if let Some(w) = e.watchdog() {
-            for a in w.alarms() {
-                eprintln!("  watchdog alarm     {}", a.line());
-            }
-        }
-        write_dump(args, &e, "watchdog-alarm");
-        eprintln!("error: watchdog raised {} alarm(s)", e.watchdog_alarm_count());
-        std::process::exit(EXIT_VIOLATIONS);
-    }
-    if !completed && args.inject_fault.is_none() {
-        write_dump(args, &e, "stuck-flows");
-        eprintln!("error: flows stuck after {} cycles", e.cycles());
-        std::process::exit(EXIT_USAGE);
-    }
-    let pulse_doc = finish_pulse(args, &[("engine", &e)]);
-    finish_flight(args, &e);
-    run_pulse_gate(args, pulse_doc.as_deref(), &e);
-    std::process::exit(0);
-}
 
-/// The `scale` workload sharded across `--threads` independent engines
-/// (FtTurbo). Each shard owns a disjoint slice of the flow range and its
-/// own `Engine`; all shards advance in lock-step rendezvous rounds of
-/// [`RENDEZVOUS_QUANTUM`] cycles through [`ParallelRunner`], and the
-/// merged artifacts (journal digest, telemetry, flight breakdown) are
-/// folded in fixed shard order after the run — so the worker-pool size
-/// changes wall-clock only, never output.
-fn run_scale_sharded(args: &Args, cfg: EngineConfig) -> ! {
-    use f4t_tcp::{FourTuple, Segment, SeqNum, TCP_BUFFER};
-    use std::collections::HashMap;
-    use std::net::Ipv4Addr;
-
-    /// Idle-tail cycles advanced per rendezvous round: a multiple of the
-    /// quantum big enough that fast-forward amortizes the round loop.
-    const IDLE_CHUNK: u64 = RENDEZVOUS_QUANTUM * 4096;
-
-    let total_flows = if args.flows == 0 { 65_536 } else { args.flows };
-    // More shards than flows would create empty engines; shard count is
-    // part of the workload's identity, so cap it explicitly and say so.
-    let shard_count = args.threads.min(total_flows).max(1);
-    if shard_count != args.threads {
-        println!("  threads capped     {} → {shard_count} (one shard per flow max)", args.threads);
-    }
-    let isn = SeqNum(0);
-    let target = isn.add(args.size);
-    let tuple_for = |i: usize| {
-        let ip = Ipv4Addr::new(10, 0, (i / 32_768) as u8, 1);
-        FourTuple::new(ip, 1024 + (i % 32_768) as u16, Ipv4Addr::new(10, 0, 0, 2), 80)
+    let labels: Vec<String> = if sharded {
+        (0..shard_count).map(|s| format!("shard{s}")).collect()
+    } else {
+        vec!["engine".to_owned()]
     };
-
-    struct Shard {
-        engine: Engine,
-        flows: Vec<f4t_tcp::FlowId>,
-        tuples: Vec<FourTuple>,
-        by_tuple: HashMap<FourTuple, usize>,
-        pending_ack: Vec<Option<SeqNum>>,
-        issued: usize,
-        completed: bool,
-        active_cycles: u64,
-        idle_left: u64,
-        budget: u64,
-        stuck: bool,
-    }
-
-    /// One rendezvous quantum of simulated time for one shard: run the
-    /// engine, harvest TX, synthesize the ideal peer's cumulative ACKs.
-    fn pump(sh: &mut Shard, isn: SeqNum) {
-        sh.engine.run(RENDEZVOUS_QUANTUM);
-        while let Some(seg) = sh.engine.pop_tx() {
-            if seg.has_payload() {
-                let i = sh.by_tuple[&seg.tuple];
-                let end = seg.seq_end();
-                sh.pending_ack[i] = Some(match sh.pending_ack[i] {
-                    Some(h) => h.max_seq(end),
-                    None => end,
-                });
-            }
-        }
-        for i in 0..sh.pending_ack.len() {
-            let Some(h) = sh.pending_ack[i] else { continue };
-            if sh.engine.push_rx(Segment::pure_ack(sh.tuples[i].reversed(), isn, h, TCP_BUFFER)) {
-                sh.pending_ack[i] = None;
-            }
-        }
-        while sh.engine.pop_notification().is_some() {}
-    }
-
-    let started = std::time::Instant::now();
-    let mut shards = Vec::with_capacity(shard_count);
-    for s in 0..shard_count {
-        let lo = total_flows * s / shard_count;
-        let hi = total_flows * (s + 1) / shard_count;
-        let n = hi - lo;
-        let mut scfg = cfg.clone();
-        scfg.max_flows = n;
-        let mut engine = Engine::new(scfg);
-        if args.telemetry.is_some() {
-            engine.set_trace_capacity(args.trace_depth);
-        }
-        if args.inject_slowdown > 0 {
-            engine.set_flight_bias(args.inject_slowdown);
-        }
-        let mut flows = Vec::with_capacity(n);
-        let mut tuples = Vec::with_capacity(n);
-        let mut by_tuple = HashMap::with_capacity(n);
-        for i in 0..n {
-            let t = tuple_for(lo + i);
-            let Some(f) = engine.open_established(t, isn) else {
-                eprintln!("error: shard {s} flow table full at {i} flows");
-                std::process::exit(EXIT_USAGE);
-            };
-            by_tuple.insert(t, i);
-            tuples.push(t);
-            flows.push(f);
-        }
-        shards.push(Shard {
-            engine,
-            flows,
-            tuples,
-            by_tuple,
-            pending_ack: vec![None; n],
-            issued: 0,
-            completed: false,
-            active_cycles: 0,
-            idle_left: args.duration_ms * 250_000,
-            budget: n as u64 * 20_000 + 10_000_000,
-            stuck: false,
-        });
-    }
-    if args.inject_slowdown > 0 {
-        println!("  slowdown injected  {} cycles per flight span", args.inject_slowdown);
-    }
-
-    let mut runner = ParallelRunner::new(shards);
-    runner.run_rounds(args.threads, |sh, round| {
-        if sh.stuck {
-            return false;
-        }
-        if sh.issued < sh.flows.len() {
-            while sh.issued < sh.flows.len()
-                && sh.engine.push_host(sh.flows[sh.issued], EventKind::SendReq { req: target })
-            {
-                sh.issued += 1;
-            }
-            pump(sh, isn);
-            if sh.issued < sh.flows.len() && sh.engine.cycles() >= sh.budget {
-                sh.stuck = true;
-                return false;
-            }
-            true
-        } else if !sh.completed {
-            pump(sh, isn);
-            if round % 256 == 255 {
-                sh.completed = sh
-                    .flows
-                    .iter()
-                    .all(|&f| sh.engine.peek_tcb(f).is_some_and(|t| t.snd_una == target));
-                if sh.completed {
-                    sh.active_cycles = sh.engine.cycles();
-                }
-            }
-            if !sh.completed && sh.engine.cycles() >= sh.budget {
-                sh.stuck = true;
-                return false;
-            }
-            true
-        } else if sh.idle_left > 0 {
-            // Post-completion idle tail, where fast-forward dominates.
-            let n = sh.idle_left.min(IDLE_CHUNK);
-            sh.engine.run(n);
-            sh.idle_left -= n;
-            sh.idle_left > 0
-        } else {
-            false
-        }
-    });
-    let wall = started.elapsed();
-
-    // Everything below runs on one thread, walking shards in fixed
-    // order — the merge side of the determinism contract.
-    let shards = runner.into_shards();
-    let completed = shards.iter().all(|s| s.completed);
-    let cycles: u64 = shards.iter().map(|s| s.engine.cycles()).sum();
-    let active: u64 = shards.iter().map(|s| s.active_cycles).sum();
-    let skipped: u64 = shards.iter().map(|s| s.engine.fastforward_skipped_cycles()).sum();
-    let windows: u64 = shards.iter().map(|s| s.engine.fastforward_windows()).sum();
-    let executed = cycles - skipped;
-    let migrations: u64 = shards.iter().map(|s| s.engine.stats().migrations).sum();
-    let dram_events: u64 = shards.iter().map(|s| s.engine.stats().dram_events).sum();
-    println!("f4tperf: {args:?}");
-    println!();
-    println!(
-        "  flows              {total_flows:>10} in {shard_count} shards ({})",
-        if completed { "all completed" } else { "INCOMPLETE" }
-    );
-    for (s, sh) in shards.iter().enumerate() {
-        println!(
-            "  shard {s:<12} {:>10} flows / {} cycles / {}",
-            sh.flows.len(),
-            sh.engine.cycles(),
-            if sh.stuck { "STUCK" } else if sh.completed { "completed" } else { "incomplete" }
-        );
-    }
-    println!("  cycles simulated   {cycles:>10} summed ({active} active + idle tails)");
-    println!("  ticks executed     {executed:>10}");
-    println!("  ff skipped         {skipped:>10} cycles in {windows} windows");
-    println!("  tick reduction     {:>10.1}x", cycles as f64 / executed.max(1) as f64);
-    println!("  wall time          {:>10.0} ms", wall.as_secs_f64() * 1e3);
-    println!("  TCB migrations     {migrations:>10}");
-    println!("  DRAM events        {dram_events:>10}");
-
-    if let Some(path) = &args.telemetry {
-        let parts: Vec<String> = shards.iter().map(|s| s.engine.telemetry().to_json()).collect();
-        let text = format!("{{\"shards\": [{}]}}", parts.join(", "));
-        if let Err(err) = std::fs::write(path, text) {
-            eprintln!("error: writing {path}: {err}");
-            std::process::exit(EXIT_USAGE);
-        }
-        let trace_path = format!("{}.trace.json", path.trim_end_matches(".json"));
-        let traces: Vec<String> =
-            shards.iter().map(|s| s.engine.export_chrome_trace()).collect();
-        let trace = format!("{{\"shards\": [{}]}}", traces.join(", "));
-        if let Err(err) = std::fs::write(&trace_path, trace) {
-            eprintln!("error: writing {trace_path}: {err}");
-            std::process::exit(EXIT_USAGE);
-        }
-        println!("  telemetry → {path}, trace → {trace_path}");
-    }
-    if args.journal_enabled() {
-        let events: u64 =
-            shards.iter().filter_map(|s| s.engine.journal()).map(|j| j.events_recorded()).sum();
-        let digest =
-            fold_digests(shards.iter().filter_map(|s| s.engine.journal()).map(|j| j.digest()));
-        println!(
-            "  journal            {events:>10} events recorded / merged digest {digest:016x} (1/{} sampling, {shard_count} shards)",
-            args.journal_sample
-        );
-    }
-    if args.check {
-        let violations: u64 =
-            shards.iter().map(|s| s.engine.check_total_violations()).sum();
-        for (s, sh) in shards.iter().enumerate() {
-            if let Some(summary) = sh.engine.check_summary() {
-                println!("  ftverify[{s}]        {summary}");
-            }
-        }
-        if violations > 0 {
-            if let Some(bad) = shards.iter().find(|s| s.engine.check_total_violations() > 0) {
-                write_dump(args, &bad.engine, "invariant-violation");
-            }
-            eprintln!("error: FtVerify found {violations} design-rule violation(s)");
-            std::process::exit(EXIT_VIOLATIONS);
-        }
-    }
-    let alarms: u64 = shards.iter().map(|s| s.engine.watchdog_alarm_count()).sum();
-    if alarms > 0 {
-        for sh in &shards {
-            if let Some(w) = sh.engine.watchdog() {
-                for a in w.alarms() {
-                    eprintln!("  watchdog alarm     {}", a.line());
-                }
-            }
-        }
-        if let Some(bad) = shards.iter().find(|s| s.engine.watchdog_alarm_count() > 0) {
-            write_dump(args, &bad.engine, "watchdog-alarm");
-        }
-        eprintln!("error: watchdog raised {alarms} alarm(s)");
-        std::process::exit(EXIT_VIOLATIONS);
-    }
-    if !completed {
+    let engines: Vec<(&str, &Engine)> =
+        labels.iter().map(String::as_str).zip(shards.iter().map(|s| &s.engine)).collect();
+    report_health(args, &engines);
+    if !completed && args.inject_fault.is_none() {
         if let Some(bad) = shards.iter().find(|s| !s.completed) {
             write_dump(args, &bad.engine, "stuck-flows");
             eprintln!("error: flows stuck after {} cycles", bad.engine.cycles());
         }
         std::process::exit(EXIT_USAGE);
     }
-    if args.pulse_enabled() {
-        // Merged in fixed shard order — same fold as the journal digest,
-        // so the result is thread-count independent.
-        let labels: Vec<String> = (0..shards.len()).map(|s| format!("shard{s}")).collect();
-        let engines: Vec<(&str, &Engine)> = labels
-            .iter()
-            .map(String::as_str)
-            .zip(shards.iter().map(|s| &s.engine))
-            .collect();
-        finish_pulse(args, &engines);
-    }
-    if args.flight_enabled() {
+    let pulse_doc = finish_pulse(args, &engines);
+    if let [sh] = &shards[..] {
+        finish_flight(args, &sh.engine);
+    } else if args.flight_enabled() {
         let spans: u64 =
             shards.iter().filter_map(|s| s.engine.flight()).map(|f| f.spans_recorded()).sum();
         println!("  flight spans       {spans:>10} recorded across {shard_count} shards");
@@ -1374,12 +1202,35 @@ fn run_scale_sharded(args: &Args, cfg: EngineConfig) -> ! {
                 args.workload,
                 parts.join(", ")
             );
-            if let Err(err) = std::fs::write(path, &breakdown) {
-                eprintln!("error: writing {path}: {err}");
-                std::process::exit(EXIT_USAGE);
-            }
+            write_or_exit(path, &breakdown);
             println!("  breakdown          → {path}");
         }
     }
+    run_pulse_gate(args, pulse_doc.as_deref(), &shards[0].engine);
     std::process::exit(0);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use f4t_sim::probes::AUDIT_INTERVAL;
+
+    /// A design-rule violation on engine `b` alone must dump `b`: the
+    /// dump describes the first engine that fired, not always `a`.
+    #[test]
+    fn dump_names_the_engine_that_fired() {
+        let cfg = EngineConfig { check: true, ..EngineConfig::reference() };
+        let mut a = Engine::new(cfg.clone());
+        let mut b = Engine::new(cfg);
+        a.open_established(scale_tuple(0), SeqNum::ZERO).expect("a has room");
+        let fb = b.open_established(scale_tuple(0).reversed(), SeqNum::ZERO).expect("b has room");
+        b.fault_inject_lut(fb, Location::Dram);
+        a.run(2 * AUDIT_INTERVAL);
+        b.run(2 * AUDIT_INTERVAL);
+        assert_eq!(a.check_total_violations(), 0);
+        assert!(b.check_total_violations() > 0, "the audit must catch the planted LUT fault");
+        let engines = [("a", &a), ("b", &b)];
+        let fired = first_fired(&engines, Engine::check_total_violations);
+        assert_eq!(fired.map(|(label, _)| label), Some("b"));
+    }
 }

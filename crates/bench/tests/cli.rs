@@ -189,8 +189,8 @@ fn threaded_scale_run_is_deterministic() {
         assert!(text.contains("in 2 shards (all completed)"), "{text}");
         assert!(text.contains("shard 0"), "{text}");
         assert!(text.contains("shard 1"), "{text}");
-        assert!(text.contains("ftverify[0]        check: 0 violation(s)"), "{text}");
-        assert!(text.contains("ftverify[1]        check: 0 violation(s)"), "{text}");
+        assert!(text.contains("ftverify[shard0]   check: 0 violation(s)"), "{text}");
+        assert!(text.contains("ftverify[shard1]   check: 0 violation(s)"), "{text}");
         let digest = text
             .lines()
             .find(|l| l.contains("merged digest"))
@@ -199,6 +199,27 @@ fn threaded_scale_run_is_deterministic() {
         digest
     };
     assert_eq!(run(), run(), "merged digest must not vary run-to-run");
+}
+
+/// The single-engine scale driver is pinned byte for byte: the flight
+/// breakdown and pulse series of the perf-gate scale run must equal the
+/// committed baselines exactly, not just within the gate's tolerances.
+#[test]
+fn single_engine_scale_matches_committed_baselines_byte_for_byte() {
+    let flight = tmp("scale-flight.json");
+    let pulse = tmp("scale-pulse.json");
+    let out = f4tperf(&[
+        "--workload", "scale", "--flows", "2048", "--size", "256", "--duration-ms", "1",
+        "--flight-sample", "64", "--breakdown-json", &flight, "--pulse-json", &pulse,
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{}\n{}", stdout(&out), stderr(&out));
+    let results = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
+    for (got, committed) in [(&flight, "flight/scale.json"), (&pulse, "pulse/scale.json")] {
+        let want = std::fs::read(format!("{results}/{committed}")).expect("committed baseline");
+        let got_bytes = std::fs::read(got).expect("run wrote its artifact");
+        assert!(got_bytes == want, "{got} differs from results/{committed}");
+        std::fs::remove_file(got).ok();
+    }
 }
 
 #[test]

@@ -53,7 +53,7 @@ pub use fpc::Fpc;
 pub use fpu::Fpu;
 pub use memory_manager::MemoryManager;
 pub use packet_gen::PacketGenerator;
-pub use parallel::{fold_digests, ParallelRunner, RENDEZVOUS_QUANTUM};
+pub use parallel::{fold_digests, run_shards};
 pub use resources::{resource_report, ResourceRow};
 pub use rx_parser::RxParser;
 pub use scheduler::Scheduler;

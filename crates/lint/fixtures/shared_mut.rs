@@ -1,13 +1,13 @@
 // Fixture for the `shared_mut_across_shards` rule: shared mutable state
 // visible to shard workers. Expected findings: the module-level
 // `static mut`, the Rc binding in step() and the unsafe block in step()
-// (drive() hosts a worker closure — it calls run_rounds — so everything
+// (drive() hosts a worker closure — it calls run_shards — so everything
 // it reaches is worker code); the Rc in cold_setup() is unreachable from
 // any worker and exempt.
 static mut POOL_HITS: u64 = 0;
 
-pub fn drive(runner: &mut Shards) {
-    runner.run_rounds(4, |s| step(s));
+pub fn drive(shards: &mut [u64]) {
+    run_shards(shards, 4, |s| step(s));
 }
 
 fn step(s: &mut u64) {

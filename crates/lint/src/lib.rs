@@ -31,7 +31,7 @@
 //! | `raw_queue` | `core`, `mem` | no `VecDeque<...>` fields/locals — on-chip queues must be `f4t_sim::Fifo` (bounded, with backpressure and conservation counters) |
 //! | `panic_path` | `core` | no `unwrap()`/`expect()`/`panic!`-family in non-test code: everything in `core` is reachable from `Engine::tick` |
 //! | `nondeterministic_iter` | every crate | no `for … in` loops over `HashMap`/`HashSet` iterators — declared types flow from struct fields (workspace-wide) and same-file bindings to the loop site; hash order silently breaks the golden-digest contract |
-//! | `panic_reachable` | every crate except `core` | no panic-family expression in any function the call graph reaches from `tick`/`ParallelRunner` entry points |
+//! | `panic_reachable` | every crate except `core` | no panic-family expression in any function the call graph reaches from `tick`/`run_shards` entry points |
 //! | `float_in_digest` | every crate | no f32/f64 arithmetic reachable from `fold_digests`/FNV/digest/merge entry points — float rounding is order-sensitive and breaks byte-identical artifact merging |
 //! | `shared_mut_across_shards` | every crate | no statics, `Rc`, non-`Sync` interior mutability or `unsafe` referenced from `parallel.rs` worker closures or anything they reach |
 //! | `metric_name` | every crate | FtScope metric / FtFlight stage / FtJournal event names are dotted `snake_case` and unique per file |
@@ -87,7 +87,7 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     (
         "panic_reachable",
-        "no panic-family expression reachable from tick/ParallelRunner entry \
+        "no panic-family expression reachable from tick/run_shards entry \
          points (call-graph BFS; crates/core is covered line-by-line by panic_path)",
     ),
     (

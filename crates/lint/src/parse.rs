@@ -87,7 +87,7 @@ enum Pending {
 }
 
 /// Last path segment of an `impl` header's subject type:
-/// `impl<S: Send> ParallelRunner<S>` → `ParallelRunner`,
+/// `impl<S: Send> Slab<S>` → `Slab`,
 /// `impl fmt::Display for Finding` → `Finding`.
 fn impl_subject(header: &str) -> String {
     let mut rest = header.trim_start();

@@ -290,9 +290,9 @@ fn body_mentions(files: &[SourceFile], idx: &SymbolIndex, f: FnId, word: &str) -
     files[r.file].code[start..=end].iter().any(|l| word_match(l, word))
 }
 
-/// Entry points for the tick-path rules: every `tick`, every
-/// `ParallelRunner` method, and every function that lexically hosts a
-/// worker closure (calls `run_rounds`).
+/// Entry points for the tick-path rules: every `tick`, `run_shards`
+/// itself, and every function that lexically hosts a worker closure
+/// (calls `run_shards`).
 fn tick_entries(files: &[SourceFile], idx: &SymbolIndex) -> Vec<FnId> {
     let mut entries = Vec::new();
     for (id, f) in idx.fns.iter().enumerate() {
@@ -300,8 +300,8 @@ fn tick_entries(files: &[SourceFile], idx: &SymbolIndex) -> Vec<FnId> {
             continue;
         }
         if f.name == "tick"
-            || f.impl_type.as_deref() == Some("ParallelRunner")
-            || body_mentions(files, idx, id, "run_rounds")
+            || f.name == "run_shards"
+            || body_mentions(files, idx, id, "run_shards")
         {
             entries.push(id);
         }
@@ -310,7 +310,7 @@ fn tick_entries(files: &[SourceFile], idx: &SymbolIndex) -> Vec<FnId> {
 }
 
 /// `panic_reachable`: no panic-family expression in any function
-/// reachable from a tick/ParallelRunner entry point, workspace-wide.
+/// reachable from a tick/run_shards entry point, workspace-wide.
 pub fn panic_reachable(
     ws: &mut Workspace,
     idx: &SymbolIndex,
@@ -442,7 +442,7 @@ pub fn float_in_digest(
 const SHARED_MUT_PATTERNS: &[(&str, &str)] = &[
     ("static mut ", "a `static mut` is unsynchronized shared state across shard workers"),
     ("thread_local!", "thread-locals diverge between pool sizes (shard-to-thread mapping varies)"),
-    ("Rc<", "`Rc` is not Sync; a clone smuggled across the rendezvous is a data race"),
+    ("Rc<", "`Rc` is not Sync; a clone smuggled into another shard's worker is a data race"),
     ("RefCell<", "`RefCell` has non-Sync interior mutability; workers sharing one race"),
     ("UnsafeCell<", "raw interior mutability shared across workers is unchecked"),
 ];
@@ -451,7 +451,7 @@ const SHARED_MUT_PATTERNS: &[(&str, &str)] = &[
 /// mutability or `unsafe` referenced from `parallel.rs` worker closures
 /// or anything they reach. The determinism contract (pool-size
 /// invariance, byte-identical digests) holds only if shards never share
-/// mutable state outside the rendezvous barrier.
+/// mutable state.
 pub fn shared_mut_across_shards(
     ws: &mut Workspace,
     idx: &SymbolIndex,
@@ -464,7 +464,7 @@ pub fn shared_mut_across_shards(
             continue;
         }
         let in_parallel_file = ws.files[f.file].label.ends_with("parallel.rs");
-        if in_parallel_file || body_mentions(&ws.files, idx, id, "run_rounds") {
+        if in_parallel_file || body_mentions(&ws.files, idx, id, "run_shards") {
             entries.push(id);
         }
     }
@@ -492,8 +492,8 @@ pub fn shared_mut_across_shards(
                 line,
                 "shared_mut_across_shards",
                 format!(
-                    "module-level `{decl}` is visible to shard workers; cross-shard state \
-                     must flow through the rendezvous barrier (ParallelRunner), not globals"
+                    "module-level `{decl}` is visible to shard workers; each `run_shards` \
+                     shard must own its state instead of sharing globals"
                 ),
                 out,
             );

@@ -8,9 +8,9 @@
 #                state (slab scheduler/FPC/memory-manager layout). Any
 #                gain over the pre-FtTurbo reference is pure data-layout.
 #   slab_threads --threads <host cpus>: the flow range sharded across
-#                one engine per thread with the deterministic rendezvous
-#                barrier. Speedup over slab_only is the threading win and
-#                scales with host cores (a 1-core host shows none).
+#                one engine per thread, each shard run to completion.
+#                Speedup over slab_only is the threading win and scales
+#                with host cores (a 1-core host shows none).
 #
 # Wall-clock is machine-dependent, so the committed numbers are a
 # record, not a gate — the byte-identity guarantees are gated by
@@ -86,7 +86,7 @@ total_speedup=$(awk "BEGIN { printf \"%.2f\", $PRE_PR_WALL_MS / $threaded }")
 
 {
     printf '{\n'
-    printf ' "_note": "FtTurbo wall-clock record for the 64K scale scenario: pre-FtTurbo reference (HashMap hot state, single engine) vs the slab layout on one thread vs the slab layout sharded across one engine per host cpu with the deterministic rendezvous barrier. Wall-clock is machine-dependent -- byte-identity is gated by tests/determinism.rs and tests/fastforward_equiv.rs, cycle-exact perf by scripts/perf_gate.sh. The threading row only improves on multi-core hosts. Regenerate with: sh scripts/turbo_baseline.sh",\n'
+    printf ' "_note": "FtTurbo wall-clock record for the 64K scale scenario: pre-FtTurbo reference (HashMap hot state, single engine) vs the slab layout on one thread vs the slab layout sharded across one engine per host cpu, each shard run to completion. Wall-clock is machine-dependent -- byte-identity is gated by tests/determinism.rs and tests/fastforward_equiv.rs, cycle-exact perf by scripts/perf_gate.sh. The threading row only improves on multi-core hosts. Regenerate with: sh scripts/turbo_baseline.sh",\n'
     printf ' "_params": "%s",\n' "$SCALE"
     printf ' "host_cpus": %s,\n' "$cpus"
     printf ' "reps": %s,\n' "$REPS"

@@ -209,16 +209,16 @@ fn runs_are_deterministic_and_match_golden_digest() {
     );
 }
 
-/// FtTurbo pool-size invariance: the same fixed shard set driven
-/// through [`ParallelRunner`] in rendezvous rounds must produce
-/// byte-identical artifacts — telemetry, Chrome traces and journal
-/// digests — whether the worker pool holds 1 thread (the inline
-/// reference sequence) or several. Shards are deliberately uneven (flow
-/// counts and tail lengths differ) so completion order varies and a
-/// scheduling-order dependence would surface.
+/// FtTurbo pool-size invariance: the same fixed shard set, each shard
+/// run to completion through [`run_shards`](f4t::core::run_shards), must
+/// produce byte-identical artifacts — round counts, telemetry, Chrome
+/// traces and journal digests — whether the worker pool holds 1 thread
+/// (the inline reference sequence) or several. Shards are deliberately
+/// uneven (flow counts and tail lengths differ) so completion order
+/// varies and a scheduling-order dependence would surface.
 #[test]
 fn parallel_pool_size_does_not_change_artifacts() {
-    use f4t::core::{fold_digests, ParallelRunner};
+    use f4t::core::{fold_digests, run_shards};
     use f4t::tcp::FlowId;
 
     struct Shard {
@@ -226,6 +226,7 @@ fn parallel_pool_size_does_not_change_artifacts() {
         b: Engine,
         pairs: Vec<(FlowId, FlowId, SeqNum)>,
         tail: u64,
+        rounds: u64,
     }
 
     const ACTIVE_ROUNDS: u64 = 24;
@@ -261,7 +262,7 @@ fn parallel_pool_size_does_not_change_artifacts() {
                     let fb = b.open_established(t.reversed(), SeqNum(0)).unwrap();
                     pairs.push((fa, fb, SeqNum(0)));
                 }
-                Shard { a, b, pairs, tail: 20 + u64::from(s) * 9 }
+                Shard { a, b, pairs, tail: 20 + u64::from(s) * 9, rounds: 0 }
             })
             .collect()
     }
@@ -290,11 +291,16 @@ fn parallel_pool_size_does_not_change_artifacts() {
     /// pulse series a+b, pulse digest a, pulse digest b).
     type ShardArtifacts = (String, String, u64, u64, String, u64, u64);
 
-    fn run(pool: usize) -> (u64, Vec<ShardArtifacts>, u64) {
-        let mut r = ParallelRunner::new(make_shards());
-        let rounds = r.run_rounds(pool, step);
-        let arts: Vec<_> = r
-            .shards()
+    fn run(pool: usize) -> (Vec<u64>, Vec<ShardArtifacts>, u64) {
+        let mut shards = make_shards();
+        run_shards(&mut shards, pool, |sh| {
+            while step(sh, sh.rounds) {
+                sh.rounds += 1;
+            }
+            sh.rounds += 1;
+        });
+        let rounds: Vec<u64> = shards.iter().map(|sh| sh.rounds).collect();
+        let arts: Vec<_> = shards
             .iter()
             .map(|sh| {
                 assert_eq!(
@@ -324,9 +330,11 @@ fn parallel_pool_size_does_not_change_artifacts() {
     }
 
     let reference = run(1);
+    let expected: Vec<u64> = (0..4).map(|s| ACTIVE_ROUNDS + 20 + s * 9).collect();
+    assert_eq!(reference.0, expected, "each shard runs its own active phase and tail");
     for pool in [2, 4] {
         let got = run(pool);
-        assert_eq!(got.0, reference.0, "pool of {pool} changed the round count");
+        assert_eq!(got.0, reference.0, "pool of {pool} changed a shard's round count");
         for (s, (g, r)) in got.1.iter().zip(reference.1.iter()).enumerate() {
             assert_eq!(g.0, r.0, "pool of {pool}: shard {s} telemetry diverged");
             assert_eq!(g.1, r.1, "pool of {pool}: shard {s} Chrome trace diverged");

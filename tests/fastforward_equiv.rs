@@ -566,25 +566,17 @@ fn recorders_are_observation_only() {
     }
 }
 
-/// FtTurbo: the same scenarios executed as [`ParallelRunner`] shards on
-/// worker threads must reproduce the inline fast-forward runs
+/// FtTurbo: the same scenarios executed as [`run_shards`](f4t::core::run_shards)
+/// shards on worker threads must reproduce the inline fast-forward runs
 /// byte-for-byte — wire order, telemetry, traces, flight breakdowns and
 /// journal digests. The engine holds no global state, so moving it to a
 /// worker thread must be observationally invisible.
 #[test]
 fn parallel_shards_reproduce_inline_runs() {
-    use f4t::core::ParallelRunner;
-
     let inline: Vec<Snapshot> = (0..3u64).map(|c| run_scenario(c, true)).collect();
-    let mut runner: ParallelRunner<(u64, Option<Snapshot>)> =
-        ParallelRunner::new((0..3u64).map(|c| (c, None)).collect());
-    runner.run_rounds(3, |(case, slot), _round| {
-        if slot.is_none() {
-            *slot = Some(run_scenario(*case, true));
-        }
-        false
-    });
-    for ((case, got), want) in runner.into_shards().into_iter().zip(&inline) {
+    let mut shards: Vec<(u64, Option<Snapshot>)> = (0..3u64).map(|c| (c, None)).collect();
+    f4t::core::run_shards(&mut shards, 3, |(case, slot)| *slot = Some(run_scenario(*case, true)));
+    for ((case, got), want) in shards.into_iter().zip(&inline) {
         let got = got.expect("shard executed its scenario");
         assert_same_lines(case, "wire trace (threaded)", &got.wire, &want.wire);
         assert_same_lines(case, "final TCBs (threaded)", &got.tcbs, &want.tcbs);
